@@ -125,7 +125,7 @@ class RhoRangeExceeded(HookTreesError):
 
 
 class SizeLimitExceeded(HookTreesError):
-    """Brute-force labelling is guarded against factorial blow-up."""
+    """A size past the fixed bound of brute-force labelling or the signature tally."""
 
 
 class UnbalancedParens(HookTreesError):

@@ -1,11 +1,14 @@
-"""Brute-force tree enumeration and weighted sums (the certification oracle).
+"""Tree enumeration and weighted sums (the certification oracle).
 
-The hot enumeration loop has two interchangeable kernels: a compiled
-Cython extension and a pure-Python fallback, chosen at import time (see
-``_backend``).  Everything else is plain Python.
+Two oracles that share no code with the series half.  ``tally`` is the
+fast one: it visits each unordered rooted tree once, credits its
+signature (degree and hook-length histograms) with its number of plane
+embeddings, and evaluates weighted sums in exact integer arithmetic.
+``trees`` is the literal one: it streams every ordered tree and is the
+reference the tests hold the tally against.
 """
 
-from ._backend import BACKEND, MAX_SIZE, backend_name, signature_counts
+from .tally import TALLY_LIMIT, backend_name, signature_counts, weighted_sum
 from .trees import (
     BRUTE_FORCE_LIMIT,
     LEAF,
@@ -19,14 +22,12 @@ from .trees import (
     labellings_recursive,
     parse_tree,
     tree_weight_hook,
-    weighted_sum,
 )
 
 __all__ = [
-    "BACKEND",
-    "MAX_SIZE",
     "BRUTE_FORCE_LIMIT",
     "LEAF",
+    "TALLY_LIMIT",
     "OrderedTree",
     "backend_name",
     "compositions",

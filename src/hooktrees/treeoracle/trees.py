@@ -1,10 +1,11 @@
 """Exhaustive ordered-tree ground truth.
 
 Ordered (plane) rooted trees, streamed exhaustively at small sizes, with
-hook lengths, weighted sums and three independent counters of increasing
-labellings.  Everything here is deliberately brute force; it is the
-oracle that certifies the generating-function calculus, so it must not
-share machinery with it.
+hook lengths, hook weights and three independent counters of increasing
+labellings.  Everything here is deliberately brute force: it is the
+literal oracle that the signature tally in ``tally`` is checked against,
+and like the tally it shares no machinery with the generating-function
+calculus.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from math import factorial
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
-from ._backend import signature_counts_cached
 
 if TYPE_CHECKING:
-    from ..families import DegreeWeightFamily
     from ..hookcalc import HookWeightFunction
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "compositions",
     "hook_lengths",
     "tree_weight_hook",
-    "weighted_sum",
     "labellings_hook",
     "labellings_recursive",
     "labellings_bruteforce",
@@ -123,38 +121,6 @@ def tree_weight_hook(tree: OrderedTree, rho: "HookWeightFunction") -> Fraction:
     total = Fraction(1)
     for h in hook_lengths(tree):
         total *= rho(h)
-    return total
-
-
-def weighted_sum(
-    n: int, family: "DegreeWeightFamily", rho: "HookWeightFunction"
-) -> Fraction:
-    """Sum of ``w_deg(T) * w_hook(T)`` over every ordered tree of size n.
-
-    Every tree is enumerated exactly once by the active kernel; trees
-    sharing the same degree and hook-length statistics are grouped so the
-    exact rational products are taken once per group.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho.size < n:
-        raise RhoRangeExceeded(
-            f"trees of size {n} have hooks up to {n} but rho covers 1..{rho.size}"
-        )
-    phi_w = [family.weight_of_degree(k) for k in range(n)]
-    rho_w = [rho(h) for h in range(1, n + 1)]
-    total = Fraction(0)
-    for key, multiplicity in signature_counts_cached(n).items():
-        term = Fraction(multiplicity)
-        for k in range(n):
-            count = key[k]
-            if count:
-                term *= phi_w[k] ** count
-        for h in range(n):
-            count = key[n + h]
-            if count:
-                term *= rho_w[h] ** count
-        total += term
     return total
 
 

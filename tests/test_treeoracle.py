@@ -8,7 +8,9 @@ from hooktrees.errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedPare
 from hooktrees.hookcalc import HookWeightFunction
 from hooktrees.treeoracle import (
     LEAF,
+    TALLY_LIMIT,
     OrderedTree,
+    backend_name,
     compositions,
     enumerate_trees,
     format_tree,
@@ -17,6 +19,7 @@ from hooktrees.treeoracle import (
     labellings_hook,
     labellings_recursive,
     parse_tree,
+    signature_counts,
     tree_weight_hook,
     weighted_sum,
 )
@@ -56,6 +59,68 @@ class TestEnumeration:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             next(enumerate_trees(0))
+
+
+class TestSignatureCounts:
+    """The unordered-tree tally against the literal ordered-tree stream."""
+
+    @staticmethod
+    def literal_counts(n):
+        def degrees(tree):
+            out = [len(tree.children)]
+            for child in tree.children:
+                out.extend(degrees(child))
+            return out
+
+        counts = {}
+        for tree in enumerate_trees(n):
+            deg, hook = bytearray(n), bytearray(n)
+            for d in degrees(tree):
+                deg[d] += 1
+            for h in hook_lengths(tree):
+                hook[h - 1] += 1
+            key = bytes(deg) + bytes(hook)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def test_matches_literal_enumeration(self):
+        for n in range(1, 10):
+            assert signature_counts(n) == self.literal_counts(n), n
+
+    def test_counts_sum_to_catalan(self):
+        for n in range(1, 15):
+            assert sum(signature_counts(n).values()) == catalan(n - 1)
+
+    def test_signature_shapes(self):
+        for n in (1, 2, 5):
+            for key in signature_counts(n):
+                assert len(key) == 2 * n
+                assert sum(key[:n]) == n  # every vertex has one out-degree
+                assert sum(key[n:]) == n  # and one hook length
+
+    def test_hook_histogram_of_path_and_star(self):
+        # size 3: the path has hooks {3,2,1}, the star {3,1,1}
+        path_key = bytes([1, 2, 0]) + bytes([1, 1, 1])
+        star_key = bytes([2, 0, 1]) + bytes([2, 0, 1])
+        assert signature_counts(3) == {path_key: 1, star_key: 1}
+
+    def test_size_edges(self):
+        fam = families.plane()
+        rho = HookWeightFunction.named("1", TALLY_LIMIT + 1)
+        with pytest.raises(ValueError):
+            signature_counts(0)
+        with pytest.raises(ValueError):
+            weighted_sum(0, fam, rho)
+        assert TALLY_LIMIT == 16
+        assert sum(signature_counts(TALLY_LIMIT).values()) == catalan(TALLY_LIMIT - 1)
+        with pytest.raises(SizeLimitExceeded):
+            signature_counts(TALLY_LIMIT + 1)
+        with pytest.raises(SizeLimitExceeded):
+            weighted_sum(TALLY_LIMIT + 1, fam, rho)
+
+    def test_backend_name_is_one_token(self):
+        name = backend_name()
+        assert name and name.split() == [name]
 
 
 class TestHookLengths:
@@ -123,18 +188,25 @@ class TestWeightedSum:
         assert weighted_sum(1, fam, rho) == fam.weight_of_degree(0) * Q(5, 7)
 
     def test_matches_literal_per_tree_sum(self):
-        # the grouped kernel must equal the definitional sum over the stream
-        fam = families.yang(Q(1, 2), Q(3))
-        rho = HookWeightFunction(
-            tuple(Q(((3 * n) % 5) + 1, n) for n in range(1, 8))
-        )
-        for n in range(1, 8):
-            literal = sum(
-                (fam.tree_weight_deg(t) * tree_weight_hook(t, rho)
-                 for t in enumerate_trees(n)),
-                Q(0),
-            )
-            assert weighted_sum(n, fam, rho) == literal
+        # the grouped sum over one common denominator must equal the
+        # definitional sum over the stream, also with negative weights,
+        # zero weights (binary has phi_k = 0 for k >= 3) and a zero rho(h)
+        varied = tuple(Q(((3 * n) % 5) + 1, n) for n in range(1, 8))
+        cases = [
+            (families.yang(Q(1, 2), Q(3)), varied),
+            (families.yang(Q(-1, 2), Q(3, 2)), varied),
+            (families.binary(), (Q(2, 3), Q(-5, 4), Q(0), Q(7), Q(1, 6), Q(3), Q(-1, 9))),
+            (families.labelled(), (Q(1), Q(0), Q(1, 3), Q(4, 5), Q(-2), Q(1, 7), Q(5, 2))),
+        ]
+        for fam, values in cases:
+            rho = HookWeightFunction(values)
+            for n in range(1, 8):
+                literal = sum(
+                    (fam.tree_weight_deg(t) * tree_weight_hook(t, rho)
+                     for t in enumerate_trees(n)),
+                    Q(0),
+                )
+                assert weighted_sum(n, fam, rho) == literal, (fam.name, n)
 
     def test_rho_table_too_short(self):
         with pytest.raises(RhoRangeExceeded):
