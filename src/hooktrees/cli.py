@@ -6,7 +6,11 @@ tree identity by exhaustive enumeration) and ``labellings`` (count the
 increasing labellings of one tree three ways).
 
 Exit codes: 0 success/verified, 1 verified-false, 2 input error,
-3 the weight function is undefined (a vanishing denominator).  Rationals
+3 the weight function is undefined (a vanishing denominator).  Input past
+a resource bound is an input error: ``--order`` above ``MAX_ORDER``,
+``--max-n`` above ``MAX_VERIFY_N``, an expression nested deeper than
+``gfparse.MAX_DEPTH``, a power too large and a tree nested deeper than
+``treeoracle.MAX_TREE_DEPTH``.  Rationals
 always print as ``p`` or ``p/q``, never as decimals; identical
 invocations produce byte-identical output.
 """
@@ -31,6 +35,9 @@ EXIT_INPUT = 2
 EXIT_UNDEFINED = 3
 
 MAX_VERIFY_N = 12
+# The slowest builtin at this order, rho --from-model sg --phi labelled,
+# takes about 2 s on a 2.0 GHz Xeon core; cost grows about as order^3.
+MAX_ORDER = 300
 
 _BUILTIN_SPEC = re.compile(r"^[a-z]+(:\S*)?$")
 
@@ -75,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="solve T = z*phi(T) or T' = phi(T)")
     p.add_argument("--model", choices=("sg", "inc"), required=True,
                    help="sg: simply generated (fixed point); inc: increasing (ODE)")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
     add_common(p)
 
     p = sub.add_parser("rho", help="hook weight table from a tree counting series")
@@ -83,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="take F from the sg or inc solution for phi")
     p.add_argument("--F", dest="f_expr", metavar="EXPR",
                    help="take F from an expression in t")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
     add_common(p)
 
     p = sub.add_parser("rho-forest", help="hook weight table from a forest series G = phi(F)")
     p.add_argument("--G", dest="g_expr", metavar="EXPR", required=True,
                    help="the forest series, an expression in t with G(0) = phi_0")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
     add_common(p)
 
     p = sub.add_parser("verify", help="certify the identity by exhaustive enumeration")
@@ -121,6 +128,13 @@ def _parse_params(items: list[str]) -> dict:
             raise ValueError(f"parameter {name!r} bound twice")
         binding[name] = rational_from_string(value)
     return binding
+
+
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("--order must be at least 1")
+    if order > MAX_ORDER:
+        raise ValueError(f"--order must be at most {MAX_ORDER}")
 
 
 def _resolve_family(text: str, binding: dict) -> families.DegreeWeightFamily:
@@ -167,8 +181,7 @@ def _emit_table(args, payload: dict, csv_rows: list[list[str]], plain: list[str]
 
 def _cmd_series(args) -> int:
     binding = _parse_params(args.param)
-    if args.order < 1:
-        raise ValueError("--order must be at least 1")
+    _check_order(args.order)
     family = _resolve_family(args.phi, binding)
     _check_family(family, max(args.order, 2), args.allow_degenerate)
     if args.model == "sg":
@@ -197,8 +210,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_rho(args) -> int:
     binding = _parse_params(args.param)
-    if args.order < 1:
-        raise ValueError("--order must be at least 1")
+    _check_order(args.order)
     if (args.from_model is None) == (args.f_expr is None):
         raise ValueError("rho needs exactly one of --from-model and --F")
     family = _resolve_family(args.phi, binding)
@@ -216,8 +228,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_rho_forest(args) -> int:
     binding = _parse_params(args.param)
-    if args.order < 1:
-        raise ValueError("--order must be at least 1")
+    _check_order(args.order)
     family = _resolve_family(args.phi, binding)
     _check_family(family, max(args.order, 2), args.allow_degenerate)
     G = _evaluate_expression(args.g_expr, binding, args.order)

@@ -3,8 +3,11 @@
 A family assigns the multiplicative weight ``phi_k`` to every vertex of
 out-degree ``k``; the weight of an ordered tree is the product over its
 vertices.  The family is described by its generating function
-``phi(t) = sum_k phi_k t^k``, held here as an exactly-truncated series
-extended lazily on demand.
+``phi(t) = sum_k phi_k t^k``, held as a :mod:`gfparse` expression with
+its parameter binding.  The builtins are expressions too: ``binary`` is
+``(1+t)^2``, ``kary:k`` is ``(1+t)^k``, ``plane`` is ``1/(1-t)``,
+``labelled`` is ``exp(t)``, ``yang:s,m`` is ``(1+s*t)^m`` and
+``polyalpha:a`` is ``(1-t)^(-a)``.
 
 The standing assumptions (``phi_0 > 0`` and some ``phi_k > 0`` with
 ``k >= 2``) are checked by :meth:`DegreeWeightFamily.validate` but not
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from . import gfparse
 from .errors import DomainError
 from .rational import Rational, as_rational, rational_from_string, rational_to_string
-from .series import TruncatedSeries, exp as series_exp, geometric
+from .series import TruncatedSeries
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .treeoracle import OrderedTree
@@ -40,38 +43,50 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-_MIN_ORDER = 8
-
 
 class DegreeWeightFamily:
-    """A degree-weight sequence with its generating function.
+    """A degree-weight sequence given by an expression in ``t``.
 
-    ``maker(order)`` must return the phi-series exactly to that order.
-    The computed series is cached and only ever extended, never mutated;
-    concurrent reads are safe, extension is single-writer.
+    ``expression`` is a parsed :mod:`gfparse` tree and ``binding`` maps
+    its parameters to exact rationals.  Construction compiles the
+    expression, so an unbound parameter or a series the expression
+    cannot form is reported at once.  The coefficients of ``phi(t)`` are
+    computed online and kept; a longer request only extends them.
     """
 
-    def __init__(self, name: str, maker: Callable[[int], TruncatedSeries]):
+    def __init__(
+        self, name: str, expression: gfparse.GfExpr, binding: gfparse.ParamBinding
+    ):
         self.name = name
-        self._maker = maker
-        self._cache = maker(_MIN_ORDER)
+        self.expression = expression
+        self.binding = dict(binding)
+        self._z = [Fraction(0), Fraction(1)]
+        self._phi = self.phi_at(self._z)
 
     def __repr__(self) -> str:
         return f"DegreeWeightFamily({self.name!r})"
+
+    def phi_at(self, var: list) -> gfparse.OnlineSeries:
+        """``phi(F)`` as an online series that reads F's coefficients from
+        ``var`` (see :class:`gfparse.OnlineSeries`)."""
+        return gfparse.OnlineSeries(self.expression, self.binding, var)
 
     def phi_series(self, order: int) -> TruncatedSeries:
         """The series ``phi(t)`` truncated exactly at ``order``."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        if order > self._cache.order:
-            self._cache = self._maker(order)
-        return self._cache.truncate(order)
+        coeffs = self._phi.coefficients
+        while len(coeffs) <= order:
+            if len(self._z) <= len(coeffs):
+                self._z.append(Fraction(0))
+            self._phi.extend()
+        return TruncatedSeries(coeffs[: order + 1])
 
     def weight_of_degree(self, k: int) -> Fraction:
         """``phi_k``, the weight of a vertex with ``k`` children."""
         if k < 0:
             raise ValueError("out-degree must be non-negative")
-        return self.phi_series(max(k, _MIN_ORDER)).coeff(k)
+        return self.phi_series(k).coeff(k)
 
     def tree_weight_deg(self, tree: "OrderedTree") -> Fraction:
         """Product of ``phi_{d(v)}`` over all vertices of ``tree``."""
@@ -121,7 +136,7 @@ class ValidationReport:
 def binary() -> DegreeWeightFamily:
     """``phi(t) = (1+t)^2``: vertices have 0, 1 or 2 children, a single
     child carrying weight 2 for the left/right choice."""
-    return kary(2, name="binary")
+    return from_expression("(1+t)^2", name="binary")
 
 
 def kary(k: int, name: str | None = None) -> DegreeWeightFamily:
@@ -131,37 +146,27 @@ def kary(k: int, name: str | None = None) -> DegreeWeightFamily:
     if k < 2:
         raise DomainError(f"kary requires k >= 2, got {k}")
     label = name if name is not None else f"kary:{k}"
-    return DegreeWeightFamily(
-        label, lambda order: TruncatedSeries([1, 1], order=max(order, 1)).pow_int(k)
-    )
+    return from_expression("(1+t)^k", {"k": Fraction(k)}, name=label)
 
 
 def plane() -> DegreeWeightFamily:
     """``phi(t) = 1/(1-t)``: every out-degree has weight 1."""
-    return DegreeWeightFamily("plane", geometric)
+    return from_expression("1/(1-t)", name="plane")
 
 
 def labelled() -> DegreeWeightFamily:
     """``phi(t) = e^t``: out-degree ``k`` weighs ``1/k!``."""
-    return DegreeWeightFamily(
-        "labelled",
-        lambda order: series_exp(TruncatedSeries([0, 1], order=max(order, 1))),
-    )
+    return from_expression("exp(t)", name="labelled")
 
 
 def yang(s: Rational, m: Rational) -> DegreeWeightFamily:
     """``phi(t) = (1 + s*t)^m`` for rational ``s`` and ``m``."""
     s = as_rational(s)
     m = as_rational(m)
-
-    def maker(order: int) -> TruncatedSeries:
-        base = TruncatedSeries([1, s], order=max(order, 1))
-        if m.denominator == 1:
-            return base.pow_int(m.numerator)
-        return base.pow_rational(m)
-
-    return DegreeWeightFamily(
-        f"yang:{rational_to_string(s)},{rational_to_string(m)}", maker
+    return from_expression(
+        "(1+s*t)^m",
+        {"s": s, "m": m},
+        name=f"yang:{rational_to_string(s)},{rational_to_string(m)}",
     )
 
 
@@ -170,14 +175,9 @@ def polyalpha(alpha: Rational) -> DegreeWeightFamily:
     alpha = as_rational(alpha)
     if alpha <= 0:
         raise DomainError(f"polyalpha requires alpha > 0, got {alpha}")
-
-    def maker(order: int) -> TruncatedSeries:
-        base = TruncatedSeries([1, -1], order=max(order, 1))
-        if alpha.denominator == 1:
-            return base.pow_int(-alpha.numerator)
-        return base.pow_rational(-alpha)
-
-    return DegreeWeightFamily(f"polyalpha:{rational_to_string(alpha)}", maker)
+    return from_expression(
+        "(1-t)^(-a)", {"a": alpha}, name=f"polyalpha:{rational_to_string(alpha)}"
+    )
 
 
 def from_expression(
@@ -185,13 +185,10 @@ def from_expression(
 ) -> DegreeWeightFamily:
     """Family whose phi-series comes from a parsed expression."""
     ast = gfparse.parse(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
-    bound = dict(binding or {})
     label = name if name is not None else (
         text_or_ast if isinstance(text_or_ast, str) else "<expression>"
     )
-    return DegreeWeightFamily(
-        label, lambda order: gfparse.evaluate(ast, bound, max(order, 1))
-    )
+    return DegreeWeightFamily(label, ast, binding or {})
 
 
 BUILTIN_NAMES = ("binary", "kary", "plane", "labelled", "yang", "polyalpha")

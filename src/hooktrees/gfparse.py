@@ -1,4 +1,4 @@
-"""Parser and evaluator for degree-weight generating function expressions.
+"""Parser and online evaluator for degree-weight generating function expressions.
 
 Accepted syntax (ASCII only)::
 
@@ -20,6 +20,23 @@ multiplication ("2t") is rejected; write ``2*t``.
 
 Note that a rational literal is a single token: ``1/2^a`` parses as
 ``(1/2)^a``.  Write ``1/(2^a)`` for the other reading.
+
+An expression may nest at most ``MAX_DEPTH`` levels: every operator,
+function call, unary minus and pair of parentheses is one level, so a
+chain of sums ``1+t+t^2+...`` counts one level per ``+``.  The bound
+keeps the parser and every recursive walk of the tree far below the
+interpreter's recursion limit.  A constant power may have at most about
+``MAX_POWER_BITS`` bits.  The exponent of a series with a nonzero
+constant term may have at most ``MAX_EXPONENT_BITS`` bits in numerator
+and denominator: coefficient m of ``(1+t)^a`` has about m times as many
+bits as ``a``.
+
+Evaluation is *online* (McIlroy, "Power series, power serious", 1999):
+:class:`OnlineSeries` compiles the tree once into nodes that each extend
+their coefficient list by one per step, reading only their children's
+coefficients up to the same index.  The variable ``t`` reads the
+coefficients of a series F that the caller supplies, so ``phi(F)`` can be
+built while F itself is still being solved for.
 """
 
 from __future__ import annotations
@@ -31,6 +48,8 @@ from typing import Mapping
 from .errors import (
     ConstantTermNotOne,
     NonConstantExponent,
+    NonzeroConstantTerm,
+    NonzeroInnerConstant,
     ParseError,
     SeriesError,
     UnboundParameter,
@@ -38,7 +57,7 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .rational import Rational, rational_root
-from .series import TruncatedSeries, constant, exp as series_exp, identity, log as series_log
+from .series import TruncatedSeries
 
 __all__ = [
     "GfExpr",
@@ -53,12 +72,20 @@ __all__ = [
     "Exp",
     "Log",
     "ParamBinding",
+    "MAX_DEPTH",
+    "MAX_POWER_BITS",
+    "MAX_EXPONENT_BITS",
+    "OnlineSeries",
     "parse",
     "evaluate",
     "phi_coefficients",
 ]
 
 ParamBinding = Mapping[str, Rational]
+
+MAX_DEPTH = 100
+MAX_POWER_BITS = 1 << 16
+MAX_EXPONENT_BITS = 64
 
 _RESERVED = ("exp", "log")
 
@@ -67,9 +94,17 @@ _RESERVED = ("exp", "log")
 
 @dataclass(frozen=True)
 class GfExpr:
-    """Base AST node; ``span`` is the (start, end) byte range in the source."""
+    """Base AST node; ``span`` is the (start, end) byte range in the source.
+
+    ``depth`` counts the levels of operators in the subtree: 0 for a leaf.
+    """
 
     span: tuple[int, int] = field(compare=False)
+    depth: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        below = [v.depth + 1 for v in vars(self).values() if isinstance(v, GfExpr)]
+        object.__setattr__(self, "depth", max(below, default=0))
 
 
 @dataclass(frozen=True)
@@ -192,6 +227,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # open parentheses, calls, unary minuses and exponents
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -213,6 +249,25 @@ class _Parser:
     def _describe(tok: _Token) -> str:
         return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
 
+    @staticmethod
+    def _too_deep(offset: int) -> ParseError:
+        return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", offset)
+
+    def _nested(self, parse, tok: _Token) -> GfExpr:
+        """Run one recursive production, one level below the current one."""
+        if self.nesting >= MAX_DEPTH:
+            raise self._too_deep(tok.start)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
+
+    def _checked(self, node: GfExpr, tok: _Token) -> GfExpr:
+        """``node``, built at operator ``tok``, unless it nests too deep."""
+        if node.depth + self.nesting > MAX_DEPTH:
+            raise self._too_deep(tok.start)
+        return node
+
     def parse(self) -> GfExpr:
         node = self.expr()
         tok = self.peek()
@@ -231,6 +286,7 @@ class _Parser:
             right = self.term()
             span = (node.span[0], right.span[1])
             node = Add(span, node, right) if op.kind == "+" else Sub(span, node, right)
+            self._checked(node, op)
         return node
 
     def term(self) -> GfExpr:
@@ -240,23 +296,26 @@ class _Parser:
             right = self.unary()
             span = (node.span[0], right.span[1])
             node = Mul(span, node, right) if op.kind == "*" else Div(span, node, right)
+            self._checked(node, op)
         return node
 
     def unary(self) -> GfExpr:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            operand = self.unary()
+            operand = self._nested(self.unary, tok)
             span = (tok.start, operand.span[1])
-            return Sub(span, RationalLiteral((tok.start, tok.start), Fraction(0)), operand)
+            return self._checked(
+                Sub(span, RationalLiteral((tok.start, tok.start), Fraction(0)), operand), tok
+            )
         return self.factor()
 
     def factor(self) -> GfExpr:
         base = self.base()
         if self.peek().kind == "^":
-            self.advance()
-            exponent = self.factor()  # right-associative
-            return Pow((base.span[0], exponent.span[1]), base, exponent)
+            tok = self.advance()
+            exponent = self._nested(self.factor, tok)  # right-associative
+            return self._checked(Pow((base.span[0], exponent.span[1]), base, exponent), tok)
         return base
 
     def base(self) -> GfExpr:
@@ -266,17 +325,19 @@ class _Parser:
             return RationalLiteral((tok.start, tok.end), tok.value)
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self._nested(self.expr, tok)
             self.expect(")")
             return node
         if tok.kind == "ident":
             self.advance()
             if tok.text in _RESERVED:
                 self.expect("(")
-                arg = self.expr()
+                arg = self._nested(self.expr, tok)
                 closing = self.expect(")")
                 span = (tok.start, closing.end)
-                return Exp(span, arg) if tok.text == "exp" else Log(span, arg)
+                return self._checked(
+                    Exp(span, arg) if tok.text == "exp" else Log(span, arg), tok
+                )
             if self.peek().kind == "(":
                 raise UnknownFunction(tok.text, tok.start)
             if tok.text == "t":
@@ -294,16 +355,48 @@ def parse(text: str) -> GfExpr:
     return _Parser(text).parse()
 
 
-# --- evaluation ----------------------------------------------------------------------
+# --- constants -------------------------------------------------------------------------
+
+def _bound(node: Parameter, binding: ParamBinding) -> Fraction:
+    if node.name not in binding:
+        raise UnboundParameter(f"parameter {node.name!r} is not bound", node.span)
+    return Fraction(binding[node.name])
+
+
+def _power(base: Fraction, e: Fraction, span: tuple[int, int]) -> Fraction | None:
+    """``base ** e``, or None when that is not rational.
+
+    Raises :class:`NonConstantExponent` for zero to a negative power and
+    for a result of more than about ``MAX_POWER_BITS`` bits.
+    """
+    if e.denominator != 1:
+        base = rational_root(base, e.denominator)
+        if base is None:
+            return None
+    k = e.numerator
+    if k < 0 and base == 0:
+        raise NonConstantExponent("zero raised to a negative power", span)
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+    if abs(k) * bits > MAX_POWER_BITS:
+        raise NonConstantExponent(
+            f"power too large: more than {MAX_POWER_BITS} bits", span
+        )
+    return base ** k
+
+
+def _check_exponent(e: Fraction, span: tuple[int, int]) -> None:
+    if max(e.numerator.bit_length(), e.denominator.bit_length()) > MAX_EXPONENT_BITS:
+        raise NonConstantExponent(
+            f"exponent of a series too large: more than {MAX_EXPONENT_BITS} bits", span
+        )
+
 
 def _const_eval(node: GfExpr, binding: ParamBinding) -> Fraction:
     """Evaluate an exponent subtree to an exact rational."""
     if isinstance(node, RationalLiteral):
         return node.value
     if isinstance(node, Parameter):
-        if node.name not in binding:
-            raise UnboundParameter(f"parameter {node.name!r} is not bound", node.span)
-        return Fraction(binding[node.name])
+        return _bound(node, binding)
     if isinstance(node, Variable):
         raise NonConstantExponent("the variable t may not appear in an exponent", node.span)
     if isinstance(node, Add):
@@ -318,86 +411,340 @@ def _const_eval(node: GfExpr, binding: ParamBinding) -> Fraction:
             raise NonConstantExponent("division by zero in an exponent", node.span)
         return _const_eval(node.left, binding) / divisor
     if isinstance(node, Pow):
-        base = _const_eval(node.base, binding)
-        e = _const_eval(node.exponent, binding)
-        if e.denominator == 1:
-            k = e.numerator
-            if k < 0 and base == 0:
-                raise NonConstantExponent("zero raised to a negative power", node.span)
-            return base ** k
-        root = rational_root(base, e.denominator)
-        if root is None:
+        value = _power(
+            _const_eval(node.base, binding), _const_eval(node.exponent, binding), node.span
+        )
+        if value is None:
             raise NonConstantExponent(
                 "exponent does not evaluate to a rational", node.span
             )
-        return root ** e.numerator
+        return value
     raise NonConstantExponent(
         "exp/log are not allowed inside an exponent", node.span
     )
 
 
-def _pow_series(base: TruncatedSeries, e: Fraction, span: tuple[int, int]) -> TruncatedSeries:
-    if e.denominator == 1:
-        return base.pow_int(e.numerator)
-    c = base.coeff(0)
-    if c == 1:
-        return base.pow_rational(e)
-    if c == 0:
-        raise ConstantTermNotOne(
-            "non-integer power of a series with constant term 0"
-        )
-    # factor the constant out: f^e = (c^(1/q))^p * (f/c)^e, when the root exists
-    root = rational_root(c, e.denominator)
-    if root is None:
-        raise ConstantTermNotOne(
-            f"constant term {c} has no exact rational root of index {e.denominator}"
-        )
-    return (base / c).pow_rational(e) * root ** e.numerator
+# --- online evaluation -------------------------------------------------------------------
+#
+# Every node holds its coefficients in ``c`` and appends coefficient m in
+# ``step(m)``, reading its children's coefficients 0..m, which are already
+# there because children come first in the evaluation order.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _eval(node: GfExpr, binding: ParamBinding, order: int) -> TruncatedSeries:
-    try:
+class _Node:
+    __slots__ = ("c",)
+
+
+class _Const(_Node):
+    __slots__ = ()
+
+    def __init__(self, value: Fraction):
+        self.c = [value]
+
+    def step(self, m):
+        self.c.append(_ZERO)
+
+
+class _Var(_Node):
+    __slots__ = ("var",)
+
+    def __init__(self, var: list):
+        self.var = var
+        self.c = [var[0]]
+
+    def step(self, m):
+        self.c.append(self.var[m])
+
+
+class _Add(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.c = [a.c[0] + b.c[0]]
+
+    def step(self, m):
+        self.c.append(self.a.c[m] + self.b.c[m])
+
+
+class _Sub(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.c = [a.c[0] - b.c[0]]
+
+    def step(self, m):
+        self.c.append(self.a.c[m] - self.b.c[m])
+
+
+class _Mul(_Node):
+    """Convolution: ``c_m = sum_i a_i b_{m-i}``."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.c = [a.c[0] * b.c[0]]
+
+    def step(self, m):
+        a, b = self.a.c, self.b.c
+        acc = _ZERO
+        for i in range(m + 1):
+            ai = a[i]
+            if ai:
+                bi = b[m - i]
+                if bi:
+                    acc += ai * bi
+        self.c.append(acc)
+
+
+class _Div(_Node):
+    """``c = a / b``: ``b_0 c_m = a_m - sum_{i<m} c_i b_{m-i}``."""
+
+    __slots__ = ("a", "b", "inv0")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.inv0 = 1 / b.c[0]
+        self.c = [a.c[0] * self.inv0]
+
+    def step(self, m):
+        b, c = self.b.c, self.c
+        acc = self.a.c[m]
+        for i in range(m):
+            ci = c[i]
+            if ci:
+                bi = b[m - i]
+                if bi:
+                    acc -= ci * bi
+        c.append(acc * self.inv0)
+
+
+class _Pow(_Node):
+    """``c = f^a`` from ``f * (f^a)' = a * f' * f^a``, termwise.
+
+    Write ``f = z^v g`` with ``g_0 != 0``.  Then ``c = z^(a v) g^a`` and,
+    with ``i = m - a v``,
+
+        g_0 * i * c_m = sum_{j=1..i} ((a+1)*j - i) * f_{v+j} * c_{m-j}.
+
+    ``v`` is 0 unless ``f(0) = 0``, which is allowed only for an integer
+    ``a >= 2``; then ``v`` is the index of the first nonzero coefficient
+    seen so far, ``c_m = 0`` below ``a v`` and ``c_{a v} = f_v^a``.
+    ``c_0`` is given.
+    """
+
+    __slots__ = ("f", "a", "a1")
+
+    def __init__(self, f, a: Fraction, c0: Fraction):
+        self.f, self.a = f, a
+        self.a1 = a.numerator + 1 if a.denominator == 1 else a + 1
+        self.c = [c0]
+
+    def step(self, m):
+        f, c = self.f.c, self.c
+        v = 0
+        if not f[0]:
+            v = next((j for j in range(1, m + 1) if f[j]), None)
+            if v is None:
+                c.append(_ZERO)
+                return
+        i = m - self.a.numerator * v  # a is an integer when v > 0
+        if i <= 0:
+            c.append(f[v] ** self.a.numerator if i == 0 else _ZERO)
+            return
+        a1 = self.a1
+        acc = _ZERO
+        for j in range(1, i + 1):
+            fj = f[v + j]
+            if fj:
+                cj = c[m - j]
+                if cj:
+                    acc += (a1 * j - i) * fj * cj
+        c.append(acc / (f[v] * i))
+
+
+class _Exp(_Node):
+    """``m E_m = sum_{j=1..m} j f_j E_{m-j}``, ``E_0 = 1``."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+        self.c = [_ONE]
+
+    def step(self, m):
+        f, c = self.f.c, self.c
+        acc = _ZERO
+        for j in range(1, m + 1):
+            fj = f[j]
+            if fj:
+                cj = c[m - j]
+                if cj:
+                    acc += j * fj * cj
+        c.append(acc / m)
+
+
+class _Log(_Node):
+    """``m L_m = m f_m - sum_{j=1..m-1} f_j (m-j) L_{m-j}``, ``L_0 = 0``."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+        self.c = [_ZERO]
+
+    def step(self, m):
+        f, c = self.f.c, self.c
+        acc = m * f[m]
+        for j in range(1, m):
+            fj = f[j]
+            if fj:
+                cj = c[m - j]
+                if cj:
+                    acc -= fj * (m - j) * cj
+        c.append(acc / m)
+
+
+def _series_error(cls: type[SeriesError], message: str, span: tuple[int, int]) -> SeriesError:
+    err = cls(message)
+    err.span = span
+    return err
+
+
+class OnlineSeries:
+    """An expression evaluated at a series F, one coefficient at a time.
+
+    ``var`` is a list with the coefficients of F that are known so far; it
+    is read, never written.  ``F(0) = var[0]`` must be 0.  Construction
+    compiles the expression and computes coefficient 0, and raises every
+    error that the expression can raise: an unbound parameter, a bad
+    exponent, a constant term that a division, power, ``exp`` or ``log``
+    cannot take.  Each :meth:`extend` then computes the next coefficient m
+    in O(m) operations per node; it reads ``var[0..m]``, so the caller
+    appends F_m first.  Coefficient m depends on F_m only through the
+    term ``[t^1] * F_m``.
+    """
+
+    def __init__(self, expr: GfExpr, binding: ParamBinding, var: list):
+        if var[0] != 0:
+            raise NonzeroInnerConstant(
+                "the series substituted for t must have constant term 0"
+            )
+        self._var = var
+        self._binding = binding
+        self._nodes: list[_Node] = []
+        #: the coefficients computed so far; read only
+        self.coefficients: list[Fraction] = self._compile(expr).c
+
+    def extend(self) -> Fraction:
+        """Compute and return the next coefficient."""
+        m = len(self.coefficients)
+        for node in self._nodes:
+            node.step(m)
+        return self.coefficients[m]
+
+    def retract(self) -> None:
+        """Undo the last :meth:`extend`, so that it can run again after
+        the caller changed the last coefficient of F."""
+        if len(self.coefficients) < 2:
+            raise ValueError("nothing to retract")
+        for node in self._nodes:
+            node.c.pop()
+
+    def _add(self, node: _Node) -> _Node:
+        self._nodes.append(node)
+        return node
+
+    def _compile(self, node: GfExpr) -> _Node:
         if isinstance(node, RationalLiteral):
-            return constant(node.value, order)
-        if isinstance(node, Variable):
-            return identity(order)
+            return self._add(_Const(node.value))
         if isinstance(node, Parameter):
-            if node.name not in binding:
-                raise UnboundParameter(
-                    f"parameter {node.name!r} is not bound", node.span
-                )
-            return constant(Fraction(binding[node.name]), order)
-        if isinstance(node, Add):
-            return _eval(node.left, binding, order) + _eval(node.right, binding, order)
-        if isinstance(node, Sub):
-            return _eval(node.left, binding, order) - _eval(node.right, binding, order)
-        if isinstance(node, Mul):
-            return _eval(node.left, binding, order) * _eval(node.right, binding, order)
-        if isinstance(node, Div):
-            return _eval(node.left, binding, order) / _eval(node.right, binding, order)
+            return self._add(_Const(_bound(node, self._binding)))
+        if isinstance(node, Variable):
+            return self._add(_Var(self._var))
         if isinstance(node, Pow):
-            e = _const_eval(node.exponent, binding)
-            return _pow_series(_eval(node.base, binding, order), e, node.span)
-        if isinstance(node, Exp):
-            return series_exp(_eval(node.arg, binding, order))
-        if isinstance(node, Log):
-            return series_log(_eval(node.arg, binding, order))
-    except SeriesError as err:
-        if err.span is None:
-            err.span = node.span
-        raise
-    raise TypeError(f"not an expression node: {node!r}")
+            return self._compile_pow(node)
+        if isinstance(node, (Exp, Log)):
+            arg = self._compile(node.arg)
+            a0 = arg.c[0]
+            if isinstance(node, Exp):
+                if a0 != 0:
+                    raise _series_error(
+                        NonzeroConstantTerm, "exp requires constant term exactly 0", node.span
+                    )
+                return self._add(_Exp(arg))
+            if a0 != 1:
+                raise _series_error(
+                    ConstantTermNotOne, "log requires constant term exactly 1", node.span
+                )
+            return self._add(_Log(arg))
+        if not isinstance(node, (Add, Sub, Mul, Div)):
+            raise TypeError(f"not an expression node: {node!r}")
+        left = self._compile(node.left)
+        right = self._compile(node.right)
+        if isinstance(node, Add):
+            return self._add(_Add(left, right))
+        if isinstance(node, Sub):
+            return self._add(_Sub(left, right))
+        if isinstance(node, Mul):
+            return self._add(_Mul(left, right))
+        if right.c[0] == 0:
+            raise _series_error(
+                ZeroConstantTerm, "cannot divide by a series with constant term 0", node.span
+            )
+        return self._add(_Div(left, right))
+
+    def _compile_pow(self, node: Pow) -> _Node:
+        e = _const_eval(node.exponent, self._binding)
+        base = self._compile(node.base)
+        b0 = base.c[0]
+        if e == 0:
+            return self._add(_Const(_ONE))
+        if e == 1:
+            return base
+        if b0 == 0:
+            if e.denominator != 1:
+                raise _series_error(
+                    ConstantTermNotOne,
+                    "non-integer power of a series with constant term 0",
+                    node.span,
+                )
+            if e < 0:
+                raise _series_error(
+                    ZeroConstantTerm,
+                    "negative power of a series with constant term 0",
+                    node.span,
+                )
+            return self._add(_Pow(base, e, _ZERO))
+        _check_exponent(e, node.span)
+        c0 = _power(b0, e, node.span)
+        if c0 is None:
+            raise _series_error(
+                ConstantTermNotOne,
+                f"constant term {b0} has no exact rational root of index {e.denominator}",
+                node.span,
+            )
+        return self._add(_Pow(base, e, c0))
 
 
 def evaluate(expr: GfExpr, binding: ParamBinding, order: int) -> TruncatedSeries:
     """Evaluate an AST to a series of the given order.
 
     All parameters must be bound to exact rationals.  Series-arithmetic
-    errors propagate with the span of the offending subtree attached.
+    errors carry the span of the offending subtree.
     """
     if order < 1:
         raise ValueError("evaluation order must be at least 1")
-    return _eval(expr, binding, order)
+    z = [_ZERO, _ONE] + [_ZERO] * (order - 1)
+    series = OnlineSeries(expr, binding, z)
+    for _ in range(order):
+        series.extend()
+    return TruncatedSeries(series.coefficients)
 
 
 def phi_coefficients(expr: GfExpr, binding: ParamBinding, kmax: int) -> list[Fraction]:

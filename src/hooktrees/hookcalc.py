@@ -13,12 +13,19 @@ Splitting a tree of size n at its root shows that
 which can be read in both directions: :func:`series_from_rho` builds F
 coefficient by coefficient, and :func:`rho_from_series` recovers rho as a
 quotient of coefficients.  :func:`rho_from_forest` is the same calculus
-applied to G = phi(F) via the compositional inverse of phi.
+applied to G = phi(F): it solves ``phi(F) = G`` for F one coefficient at
+a time, since F_n enters ``[z^n] phi(F)`` linearly, with coefficient
+``phi_1``.
 
 Two classical solvers are included for the unweighted equations:
 ``T = z*phi(T)`` for simply generated families (ordinary generating
 function) and ``T' = phi(T)`` for increasing families (exponential
 generating function, stored as plain coefficients ``T_n/n!``).
+
+Every solver evaluates ``phi(F)`` online (see :class:`gfparse.OnlineSeries`),
+so coefficient n costs O(n) operations per expression node and order N
+costs O(N^2), instead of composing phi with the whole partial series
+again at every step.
 """
 
 from __future__ import annotations
@@ -116,6 +123,20 @@ class HookWeightFunction:
 # --- solvers for the two classical equations ----------------------------------
 
 
+def _solve(family: DegreeWeightFamily, order: int, weight) -> TruncatedSeries:
+    """The unique F with ``F(0) = 0`` and ``F_n = weight(n) * [z^{n-1}] phi(F)``.
+
+    Triangular: the right side only involves coefficients of index below n.
+    """
+    F = [Fraction(0)]
+    phi_of_F = family.phi_at(F)
+    for n in range(1, order + 1):
+        if n > 1:
+            phi_of_F.extend()
+        F.append(weight(n) * phi_of_F.coefficients[n - 1])
+    return TruncatedSeries(F)
+
+
 def solve_simply_generated(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     """The unique series T with ``T(0)=0`` and ``T = z*phi(T)``.
 
@@ -124,12 +145,7 @@ def solve_simply_generated(family: DegreeWeightFamily, order: int) -> TruncatedS
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    phi = family.phi_series(order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        partial = TruncatedSeries(coeffs[:n])
-        coeffs[n] = phi.truncate(n - 1).compose(partial).coeff(n - 1)
-    return TruncatedSeries(coeffs)
+    return _solve(family, order, lambda n: 1)
 
 
 def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
@@ -141,12 +157,7 @@ def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    phi = family.phi_series(order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        partial = TruncatedSeries(coeffs[:n])
-        coeffs[n] = phi.truncate(n - 1).compose(partial).coeff(n - 1) / n
-    return TruncatedSeries(coeffs)
+    return _solve(family, order, lambda n: Fraction(1, n))
 
 
 def egf_counts(series: TruncatedSeries) -> list[Fraction]:
@@ -166,11 +177,12 @@ def rho_from_series(
     Raises :class:`DenominatorVanishes` where the quotient is undefined.
     """
     _check_tree_series(F, upto)
-    phi = family.phi_series(upto)
-    phi_of_F = phi.truncate(upto - 1).compose(F.truncate(upto - 1))
+    phi_of_F = family.phi_at(list(F.coefficients[:upto]))
+    for _ in range(upto - 1):
+        phi_of_F.extend()
     values = []
     for n in range(1, upto + 1):
-        den = phi_of_F.coeff(n - 1)
+        den = phi_of_F.coefficients[n - 1]
         if den == 0:
             raise DenominatorVanishes(n, "[z^{n-1}] phi(F) = 0")
         values.append(F.coeff(n) / den)
@@ -191,12 +203,7 @@ def series_from_rho(
         raise RhoRangeExceeded(
             f"rho covers 1..{rho.size} but order {order} was requested"
         )
-    phi = family.phi_series(order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        partial = TruncatedSeries(coeffs[:n])
-        coeffs[n] = rho(n) * phi.truncate(n - 1).compose(partial).coeff(n - 1)
-    return TruncatedSeries(coeffs)
+    return _solve(family, order, rho)
 
 
 def rho_from_forest(
@@ -204,10 +211,11 @@ def rho_from_forest(
 ) -> HookWeightFunction:
     """Recover rho from a forest-side series ``G = phi(F)``.
 
-    ``rho(n) = [z^n] phi_inverse(G) / [z^{n-1}] G`` where ``phi_inverse``
-    is the compositional inverse of phi around ``phi_0``, realized as
-    ``H = revert(phi - phi_0)`` so that ``phi_inverse(phi_0 + u) = H(u)``.
-    Requires ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
+    Solves ``phi(F) = G`` for the tree series F with ``F(0) = 0``, then
+    ``rho(n) = [z^n] F / [z^{n-1}] G``.  F_n enters ``[z^n] phi(F)``
+    linearly, with coefficient ``phi_1``, so each step evaluates
+    ``[z^n] phi(F)`` with F_n = 0 and solves for F_n.  Requires
+    ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
     """
     if upto < 1:
         raise ValueError("upto must be at least 1")
@@ -215,25 +223,31 @@ def rho_from_forest(
         raise OrderExceeded(
             f"G is known to order {G.order} but rho(1..{upto}) needs order {upto}"
         )
-    phi = family.phi_series(upto)
-    phi0 = phi.coeff(0)
+    phi = family.phi_series(1)
+    phi0, phi1 = phi.coeff(0), phi.coeff(1)
     if G.coeff(0) != phi0:
         raise ConstantMismatch(
             f"G(0) = {rational_to_string(G.coeff(0))} but the family has "
             f"phi_0 = {rational_to_string(phi0)}"
         )
-    if phi.coeff(1) == 0:
+    if phi1 == 0:
         raise NotInvertible(
             "phi_1 = 0: the degree-weight series has no compositional inverse"
         )
-    H = (phi - phi0).revert()
-    inverse_of_G = H.compose(G.truncate(upto) - phi0)
+    F = [Fraction(0)]
+    phi_of_F = family.phi_at(F)
+    for n in range(1, upto + 1):
+        F.append(Fraction(0))
+        rest = phi_of_F.extend()
+        phi_of_F.retract()
+        F[n] = (G.coeff(n) - rest) / phi1
+        phi_of_F.extend()
     values = []
     for n in range(1, upto + 1):
         den = G.coeff(n - 1)
         if den == 0:
             raise DenominatorVanishes(n, "[z^{n-1}] G = 0")
-        values.append(inverse_of_G.coeff(n) / den)
+        values.append(F[n] / den)
     return HookWeightFunction(tuple(values), origin="derived-from-G")
 
 

@@ -29,7 +29,10 @@ def rational_from_string(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r} (use p or p/q)")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {text!r}") from None
 
 
 def as_rational(value) -> Fraction:
@@ -47,6 +50,8 @@ def integer_root(n: int, k: int) -> int:
         raise ValueError("integer_root needs n >= 0 and k >= 1")
     if n in (0, 1) or k == 1:
         return n
+    if k >= n.bit_length():  # 1 <= root < 2, and Newton would raise x to k-1
+        return 1
     x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

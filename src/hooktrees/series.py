@@ -7,10 +7,12 @@ truncate to the smaller of the two orders, so coefficient extraction below
 that order is always exact.  Equality is exact and requires matching
 orders.
 
-All values are immutable; no operation mutates its inputs.  The
-implementations are the naive quadratic ones on purpose: target orders
-stay small and every identity in this package is checked by exact
-equality, so simplicity wins over asymptotics.
+All values are immutable; no operation mutates its inputs.  These
+eager operations are the reference implementation: the solvers in
+``hookcalc`` evaluate expressions online through ``gfparse``, and the
+tests hold them against composition, reversion, powers, exp and log
+here.  So the code stays the plain quadratic (and, for ``compose`` and
+``revert``, worse) algorithms, checked by exact equality.
 """
 
 from __future__ import annotations

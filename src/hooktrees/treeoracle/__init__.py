@@ -12,6 +12,7 @@ from .tally import TALLY_LIMIT, backend_name, signature_counts, weighted_sum
 from .trees import (
     BRUTE_FORCE_LIMIT,
     LEAF,
+    MAX_TREE_DEPTH,
     OrderedTree,
     compositions,
     enumerate_trees,
@@ -27,6 +28,7 @@ from .trees import (
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "LEAF",
+    "MAX_TREE_DEPTH",
     "TALLY_LIMIT",
     "OrderedTree",
     "backend_name",

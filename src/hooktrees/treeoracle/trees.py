@@ -33,9 +33,13 @@ __all__ = [
     "parse_tree",
     "format_tree",
     "BRUTE_FORCE_LIMIT",
+    "MAX_TREE_DEPTH",
 ]
 
 BRUTE_FORCE_LIMIT = 8
+# The tree walks below recurse once per level (format_tree twice), so a
+# parsed tree stays well inside the interpreter's recursion limit of 1000.
+MAX_TREE_DEPTH = 200
 
 
 class OrderedTree:
@@ -194,7 +198,11 @@ def _preorder_parents(tree: OrderedTree) -> list[int]:
 
 def parse_tree(text: str) -> OrderedTree:
     """Parse a balanced-parenthesis word: each matched pair is a vertex,
-    nesting is the child relation, the outermost pair is the root."""
+    nesting is the child relation, the outermost pair is the root.
+
+    Pairs may nest at most ``MAX_TREE_DEPTH`` deep; deeper words raise
+    :class:`SizeLimitExceeded`.
+    """
     stack: list[list[OrderedTree]] = []
     root: OrderedTree | None = None
     for offset, ch in enumerate(text):
@@ -203,6 +211,10 @@ def parse_tree(text: str) -> OrderedTree:
         if ch == "(":
             if root is not None:
                 raise UnbalancedParens("unexpected second root", offset)
+            if len(stack) == MAX_TREE_DEPTH:
+                raise SizeLimitExceeded(
+                    f"tree nests more than {MAX_TREE_DEPTH} levels deep at offset {offset}"
+                )
             stack.append([])
         elif ch == ")":
             if not stack:

@@ -1,8 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
-from hooktrees import cli, hookcalc
+from hooktrees import cli, hookcalc, treeoracle
 from hooktrees.series import TruncatedSeries
 
 
@@ -272,3 +273,49 @@ class TestContract:
         )
         assert code == 2
         assert "k" in err
+
+
+class TestInputBounds:
+    """Each bounded resource and each bad rational exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["series", "--model", "sg", "--order", "5", "--phi", "(1+s*t)^m",
+              "--param", "s=1/0", "--param", "m=3"], "zero denominator"),
+            (["verify", "--phi", "plane", "--rho", "1,1/0,1", "--max-n", "3"],
+             "zero denominator"),
+            (["labellings", "--tree", "(" * 1200 + ")" * 1200], "levels deep"),
+            (["series", "--model", "sg", "--order", "5",
+              "--phi", "(" * 1200 + "1+t^2" + ")" * 1200], "levels deep"),
+            (["series", "--model", "sg", "--order", "5", "--phi", "1" + "+t^2" * 1500],
+             "levels deep"),
+            (["series", "--model", "sg", "--order", str(cli.MAX_ORDER + 1), "--phi", "plane"],
+             "at most"),
+            (["rho", "--from-model", "inc", "--order", str(cli.MAX_ORDER + 1),
+              "--phi", "binary"], "at most"),
+            (["rho-forest", "--G", "1/(1-t)", "--order", str(cli.MAX_ORDER + 1),
+              "--phi", "labelled"], "at most"),
+            (["series", "--model", "sg", "--order", "5", "--phi", "1+t+2^(10^9)*t^2"],
+             "too large"),
+            (["series", "--model", "sg", "--order", "5", "--phi", "(1+t)^(2^100)"],
+             "too large"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_deepest_tree_and_largest_order_still_run(self, capsys):
+        depth = treeoracle.MAX_TREE_DEPTH
+        code, out, _ = run_cli(capsys, "labellings", "--tree", "(" * depth + ")" * depth)
+        assert code == 0
+        assert "agree true" in out
+        code, out, _ = run_cli(
+            capsys, "series", "--model", "sg", "--order", str(cli.MAX_ORDER), "--phi", "plane"
+        )
+        assert code == 0
+        assert out.split()[-1] == str(comb(2 * cli.MAX_ORDER - 2, cli.MAX_ORDER - 1) // cli.MAX_ORDER)
+

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from hooktrees import families
-from hooktrees.errors import DomainError
+from hooktrees import families, gfparse
+from hooktrees.errors import DomainError, UnboundParameter, ZeroConstantTerm
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import LEAF, OrderedTree, enumerate_trees, parse_tree
 
@@ -89,6 +89,19 @@ class TestFromExpression:
     def test_expression_family(self):
         fam = families.from_expression("(1+t)^k", {"k": Q(4)})
         assert fam.phi_series(4) == TruncatedSeries([1, 4, 6, 4, 1])
+
+    def test_builtins_are_expressions(self):
+        assert families.binary().expression == gfparse.parse("(1+t)^2")
+        fam = families.yang(Q(1, 2), Q(3, 2))
+        assert fam.expression == gfparse.parse("(1+s*t)^m")
+        assert fam.binding == {"s": Q(1, 2), "m": Q(3, 2)}
+        assert families.polyalpha(Q(3)).expression == gfparse.parse("(1-t)^(-a)")
+
+    def test_errors_surface_on_construction(self):
+        with pytest.raises(ZeroConstantTerm):
+            families.from_expression("1/(t+t^2)")
+        with pytest.raises(UnboundParameter):
+            families.from_expression("(1+t)^k")
 
     def test_cache_extends(self):
         fam = families.plane()

@@ -7,16 +7,20 @@ from hooktrees import families
 from hooktrees.errors import (
     ConstantTermNotOne,
     NonConstantExponent,
+    NonzeroConstantTerm,
+    NonzeroInnerConstant,
     ParseError,
     UnboundParameter,
     UnknownFunction,
     ZeroConstantTerm,
 )
 from hooktrees.gfparse import (
+    MAX_DEPTH,
     Add,
     Div,
     Exp,
     Mul,
+    OnlineSeries,
     Parameter,
     Pow,
     RationalLiteral,
@@ -26,7 +30,7 @@ from hooktrees.gfparse import (
     parse,
     phi_coefficients,
 )
-from hooktrees.series import TruncatedSeries
+from hooktrees.series import TruncatedSeries, exp, identity, log
 
 
 def lit(value):
@@ -183,6 +187,117 @@ class TestEvaluate:
             parse("(1+t)^-2")
         got = evaluate(parse("(1+t)^(-2)"), {}, 3)
         assert got == TruncatedSeries([1, 1], order=3).pow_int(-2)
+
+
+class TestEvaluationErrors:
+    """Each error class, raised with the span of the failing subtree."""
+
+    @pytest.mark.parametrize(
+        "text,binding,error,span",
+        [
+            ("1/(t+t^2)", {}, ZeroConstantTerm, (0, 8)),
+            ("1+1/t", {}, ZeroConstantTerm, (2, 5)),
+            ("2*t^(-1)", {}, ZeroConstantTerm, (2, 7)),
+            ("log(2+t)", {}, ConstantTermNotOne, (0, 8)),
+            ("1+(2+t)^(1/2)", {}, ConstantTermNotOne, (3, 12)),
+            ("t^(1/2)", {}, ConstantTermNotOne, (0, 6)),
+            ("exp(1+t)", {}, NonzeroConstantTerm, (0, 8)),
+            ("(1+s*t)^m", {"s": Q(1)}, UnboundParameter, (8, 9)),
+            ("2^t", {}, NonConstantExponent, (2, 3)),
+            ("t^(2^(1/2))", {}, NonConstantExponent, (3, 9)),
+            ("t^exp(t)", {}, NonConstantExponent, (2, 8)),
+            ("t^(1/(1-1))", {}, NonConstantExponent, (3, 9)),
+        ],
+    )
+    def test_error_class_and_span(self, text, binding, error, span):
+        with pytest.raises(error) as info:
+            evaluate(parse(text), binding, 4)
+        assert info.value.span == span
+
+    def test_substituted_series_needs_zero_constant_term(self):
+        with pytest.raises(NonzeroInnerConstant):
+            OnlineSeries(parse("1+t"), {}, [Q(1)])
+
+
+class TestOnlineEvaluation:
+    @pytest.mark.parametrize(
+        "text,reference",
+        [
+            ("(4+t)^(1/2)", lambda z: (z / 4 + 1).pow_rational(Q(1, 2)) * 2),
+            ("(-8+t)^(1/3)", lambda z: (1 - z / 8).pow_rational(Q(1, 3)) * -2),
+            ("(t+t^2)^3", lambda z: (z + z * z).pow_int(3)),
+            ("(t^2+t^3)^2", lambda z: (z * z + z * z * z).pow_int(2)),
+            ("(2-t)^(-3)", lambda z: (2 - z).pow_int(-3)),
+            ("log(1+t)/(1-t)", lambda z: log(1 + z) / (1 - z)),
+            ("exp(t-1/2*t^2)*3", lambda z: exp(z - z * z / 2) * 3),
+            ("(1-t)/(1+t+t^2)", lambda z: (1 - z) / (1 + z + z * z)),
+            ("0^0+t^0+(1+t)^1", lambda z: 3 + z),
+        ],
+    )
+    def test_matches_eager_series_operations(self, text, reference):
+        assert evaluate(parse(text), {}, 12) == reference(identity(12))
+
+    def test_retract_then_extend_with_a_changed_coefficient(self):
+        # the F_n = 0 probe that rho_from_forest makes at every step
+        expr = parse("exp(t)*(1+t^2)^(1/2)/(1-t)^2")
+        var = [Q(0), Q(1), Q(-2)]
+        online = OnlineSeries(expr, {}, var)
+        online.extend()
+        var.append(Q(0))
+        online.extend()
+        online.extend()
+        online.retract()
+        var[3] = Q(5, 3)
+        online.extend()
+        F = TruncatedSeries(var)
+        assert online.coefficients == list(evaluate(expr, {}, 3).compose(F).coefficients)
+
+    def test_huge_exponent_of_a_zero_constant_series_costs_nothing(self):
+        got = evaluate(parse("1+t+t^(2^60000)"), {}, 30)
+        assert got == TruncatedSeries([1, 1], order=30)
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 1200 + "1+t^2" + ")" * 1200, "1" + "+t^2" * 1500, "-" * 1200 + "t",
+         "t" + "^t" * 1200, "exp(" * 1200 + "t" + ")" * 1200],
+    )
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested"):
+            parse(text)
+
+    def test_deepest_accepted_expression_evaluates(self):
+        # every walk of the deepest accepted trees stays in bounds
+        nested = parse("(" * (MAX_DEPTH - 1) + "1+t" + ")" * (MAX_DEPTH - 1))
+        assert evaluate(nested, {}, 3) == TruncatedSeries([1, 1], order=3)
+        chain = parse("1" + "+t" * MAX_DEPTH)
+        assert chain.depth == MAX_DEPTH
+        assert evaluate(chain, {}, 2).coefficients == (1, MAX_DEPTH, 0)
+        exponent = parse("t^(" + "(" * (MAX_DEPTH - 2) + "2" + ")" * (MAX_DEPTH - 2) + ")")
+        assert evaluate(exponent, {}, 2).coefficients == (0, 0, 1)
+        with pytest.raises(ParseError):
+            parse("(" * MAX_DEPTH + "1+t" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError):
+            parse("1" + "+t" * (MAX_DEPTH + 1))
+
+    def test_constant_power_too_large(self):
+        with pytest.raises(NonConstantExponent, match="too large"):
+            evaluate(parse("1+t+2^(10^9)*t^2"), {}, 3)
+        with pytest.raises(NonConstantExponent, match="too large"):
+            evaluate(parse("(2+t)^(10^9)"), {}, 3)
+
+    def test_series_exponent_too_large(self):
+        with pytest.raises(NonConstantExponent, match="too large"):
+            evaluate(parse("(1+t)^(2^100)"), {}, 3)
+        got = evaluate(parse("(1+t)^(2^60)"), {}, 2)
+        assert got.coefficients == (1, 2**60, 2**60 * (2**60 - 1) // 2)
+
+    def test_root_of_huge_index_and_zero_to_negative_power(self):
+        with pytest.raises(NonConstantExponent):
+            evaluate(parse("t^(4^(1/(10^9)))"), {}, 3)
+        with pytest.raises(NonConstantExponent):
+            evaluate(parse("t^(0^(-1/2))"), {}, 3)
 
 
 class TestPhiCoefficients:

@@ -51,6 +51,92 @@ ALL_FAMILIES = [
     lambda: families.polyalpha(Q(2)),
 ]
 
+# Every builtin spelling, plus parsed expressions that exercise the rest of
+# the online evaluator: a quotient of non-constant series, log, a rational
+# power of a series whose constant term is not 1, integer powers of series
+# with constant term 0 (valuation 1 and 2), and a negative power.
+REFERENCE_FAMILIES = [
+    families.binary,
+    lambda: families.kary(4),
+    families.plane,
+    families.labelled,
+    lambda: families.yang(Q(1, 2), Q(3)),
+    lambda: families.yang(Q(-2, 3), Q(3, 2)),
+    lambda: families.polyalpha(Q(1, 2)),
+    lambda: families.polyalpha(Q(2)),
+    lambda: families.from_expression("(2+t^2)/(2-t-t^3)"),
+    lambda: families.from_expression("1-log(1-t)*3/2"),
+    lambda: families.from_expression("(4+t)^(1/2)"),
+    lambda: families.from_expression("1+t^2"),
+    lambda: families.from_expression("1+t+(t^2+t^3)^3"),
+    lambda: families.from_expression("exp(t/2)*(1+s*t)^(-2)", {"s": Q(1, 3)}),
+]
+
+
+def compose_triangle(family, order, weight):
+    """The reference solver: ``F_n = weight(n) * [z^{n-1}] phi(F)``, with
+    phi composed with the whole partial series again at every step."""
+    phi = family.phi_series(order)
+    coeffs = [Q(0)] * (order + 1)
+    for n in range(1, order + 1):
+        partial = TruncatedSeries(coeffs[:n])
+        coeffs[n] = weight(n) * phi.truncate(n - 1).compose(partial).coeff(n - 1)
+    return TruncatedSeries(coeffs)
+
+
+class TestOnlineSolverMatchesComposeReference:
+    @pytest.mark.parametrize("make", REFERENCE_FAMILIES)
+    def test_all_three_solvers(self, make):
+        fam = make()
+        order = 16
+        rng = random.Random(fam.name)
+        # entries 0 make F_1 = 0 or later coefficients vanish
+        table = HookWeightFunction(
+            tuple(Q(rng.randint(-3, 5), rng.randint(1, 4)) for _ in range(order))
+        )
+        cases = [
+            (solve_simply_generated, lambda n: 1),
+            (solve_increasing, lambda n: Q(1, n)),
+            (lambda f, o: series_from_rho(table, f, o), table),
+            (lambda f, o: series_from_rho(HookWeightFunction.named("n", o), f, o),
+             lambda n: n),
+        ]
+        for solver, weight in cases:
+            for k in (1, 2, order):
+                assert solver(fam, k) == compose_triangle(fam, k, weight), fam.name
+
+    @pytest.mark.parametrize("make", REFERENCE_FAMILIES)
+    def test_rho_from_series_matches_composition(self, make):
+        fam = make()
+        rng = random.Random(7)
+        for _ in range(3):
+            F = random_tree_series(rng, 12, positive=True)
+            phi_of_F = fam.phi_series(11).compose(F.truncate(11))
+            dens = [phi_of_F.coeff(n - 1) for n in range(1, 13)]
+            if 0 in dens:
+                with pytest.raises(DenominatorVanishes) as info:
+                    rho_from_series(F, fam, 12)
+                assert info.value.index == dens.index(0) + 1
+            else:
+                expected = tuple(F.coeff(n) / d for n, d in enumerate(dens, 1))
+                assert rho_from_series(F, fam, 12).values == expected
+
+    @pytest.mark.parametrize("make", REFERENCE_FAMILIES)
+    def test_rho_from_forest_matches_reversion(self, make):
+        fam = make()
+        phi = fam.phi_series(14)
+        phi0 = phi.coeff(0)
+        rng = random.Random(11)
+        if phi.coeff(1) == 0:
+            with pytest.raises(NotInvertible):
+                rho_from_forest(random_tree_series(rng, 14) + phi0, fam, 14)
+            return
+        for _ in range(3):
+            G = random_tree_series(rng, 14, positive=True) + phi0
+            F = (phi - phi0).revert().compose(G - phi0)
+            expected = tuple(F.coeff(n) / G.coeff(n - 1) for n in range(1, 15))
+            assert rho_from_forest(G, fam, 14).values == expected
+
 
 class TestHookWeightFunction:
     def test_named_inverse_table_identity(self):
@@ -72,6 +158,10 @@ class TestHookWeightFunction:
         a = HookWeightFunction((Q(1), Q(1, 2)), origin="given")
         b = HookWeightFunction((Q(1), Q(1, 2)), origin="derived-from-F")
         assert a == b
+
+    def test_zero_denominator_is_an_input_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            HookWeightFunction.from_spec("1,1/0,1", 3)
 
     def test_from_spec_named_and_explicit(self):
         assert HookWeightFunction.from_spec("1/n", 4) == HookWeightFunction.named("1/n", 4)

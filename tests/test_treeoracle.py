@@ -8,6 +8,7 @@ from hooktrees.errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedPare
 from hooktrees.hookcalc import HookWeightFunction
 from hooktrees.treeoracle import (
     LEAF,
+    MAX_TREE_DEPTH,
     TALLY_LIMIT,
     OrderedTree,
     backend_name,
@@ -290,3 +291,14 @@ class TestTreeText:
     def test_format_inverse_on_enumeration(self):
         for tree in enumerate_trees(6):
             assert parse_tree(format_tree(tree)) == tree
+
+    def test_depth_bound(self):
+        path = parse_tree("(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH)
+        # every recursive walk handles the deepest accepted tree
+        assert hook_lengths(path) == list(range(MAX_TREE_DEPTH, 0, -1))
+        assert labellings_recursive(path) == 1
+        assert format_tree(path) == "(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH
+        assert families.plane().tree_weight_deg(path) == 1
+        with pytest.raises(SizeLimitExceeded):
+            parse_tree("(" * (MAX_TREE_DEPTH + 1) + ")" * (MAX_TREE_DEPTH + 1))
+
