@@ -25,7 +25,7 @@ import re
 import sys
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
-from .errors import DenominatorVanishes, HookTreesError
+from .errors import DenominatorVanishes, DomainError, HookTreesError
 from .rational import rational_from_string, rational_to_string
 from .series import TruncatedSeries
 
@@ -149,14 +149,10 @@ def _check_family(family, kmax: int, allow_degenerate: bool) -> None:
     for warning in report.warnings:
         print(f"warning: {family.name}: {warning}", file=sys.stderr)
     if not report.ok and not allow_degenerate:
-        for violation in report.violations:
-            print(f"error: {family.name}: {violation}", file=sys.stderr)
-        print("use --allow-degenerate to run anyway", file=sys.stderr)
-        raise _Refused()
-
-
-class _Refused(Exception):
-    """Family validation failed and no override was given."""
+        raise DomainError(
+            f"{family.name}: {'; '.join(report.violations)} "
+            "(use --allow-degenerate to run anyway)"
+        )
 
 
 def _evaluate_expression(text: str, binding: dict, order: int) -> TruncatedSeries:
@@ -341,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _Refused:
-        return EXIT_INPUT
     except DenominatorVanishes as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNDEFINED

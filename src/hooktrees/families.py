@@ -60,33 +60,34 @@ class DegreeWeightFamily:
         self.name = name
         self.expression = expression
         self.binding = dict(binding)
-        self._z = [Fraction(0), Fraction(1)]
-        self._phi = self.phi_at(self._z)
+        self._phi = self.phi_at()
 
     def __repr__(self) -> str:
         return f"DegreeWeightFamily({self.name!r})"
 
-    def phi_at(self, var: list) -> gfparse.OnlineSeries:
-        """``phi(F)`` as an online series that reads F's coefficients from
-        ``var`` (see :class:`gfparse.OnlineSeries`)."""
-        return gfparse.OnlineSeries(self.expression, self.binding, var)
+    def phi_at(self) -> gfparse.OnlineSeries:
+        """``phi(F)`` as an online series in a fresh argument F (see
+        :class:`gfparse.OnlineSeries`)."""
+        return gfparse.OnlineSeries(self.expression, self.binding)
+
+    def _coefficients(self, order: int) -> list[Fraction]:
+        """``phi_0 .. phi_order`` and maybe more: the cached series at t := z."""
+        coeffs = self._phi.coefficients
+        while len(coeffs) <= order:  # F = z: coefficient 1 is 1, all others 0
+            self._phi.extend(Fraction(1 if len(coeffs) == 1 else 0))
+        return coeffs
 
     def phi_series(self, order: int) -> TruncatedSeries:
         """The series ``phi(t)`` truncated exactly at ``order``."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        coeffs = self._phi.coefficients
-        while len(coeffs) <= order:
-            if len(self._z) <= len(coeffs):
-                self._z.append(Fraction(0))
-            self._phi.extend()
-        return TruncatedSeries(coeffs[: order + 1])
+        return TruncatedSeries(self._coefficients(order)[: order + 1])
 
     def weight_of_degree(self, k: int) -> Fraction:
         """``phi_k``, the weight of a vertex with ``k`` children."""
         if k < 0:
             raise ValueError("out-degree must be non-negative")
-        return self.phi_series(k).coeff(k)
+        return self._coefficients(k)[k]
 
     def tree_weight_deg(self, tree: "OrderedTree") -> Fraction:
         """Product of ``phi_{d(v)}`` over all vertices of ``tree``."""
@@ -139,14 +140,15 @@ def binary() -> DegreeWeightFamily:
     return from_expression("(1+t)^2", name="binary")
 
 
-def kary(k: int, name: str | None = None) -> DegreeWeightFamily:
+def kary(k: int) -> DegreeWeightFamily:
     """``phi(t) = (1+t)^k`` for an integer ``k >= 2``."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError("kary requires an integer arity")
     if k < 2:
-        raise DomainError(f"kary requires k >= 2, got {k}")
-    label = name if name is not None else f"kary:{k}"
-    return from_expression("(1+t)^k", {"k": Fraction(k)}, name=label)
+        raise DomainError(f"kary requires k >= 2, got {rational_to_string(k)}")
+    return from_expression(
+        "(1+t)^k", {"k": Fraction(k)}, name=f"kary:{rational_to_string(k)}"
+    )
 
 
 def plane() -> DegreeWeightFamily:
@@ -174,7 +176,9 @@ def polyalpha(alpha: Rational) -> DegreeWeightFamily:
     """``phi(t) = 1/(1-t)^alpha`` for rational ``alpha > 0``."""
     alpha = as_rational(alpha)
     if alpha <= 0:
-        raise DomainError(f"polyalpha requires alpha > 0, got {alpha}")
+        raise DomainError(
+            f"polyalpha requires alpha > 0, got {rational_to_string(alpha)}"
+        )
     return from_expression(
         "(1-t)^(-a)", {"a": alpha}, name=f"polyalpha:{rational_to_string(alpha)}"
     )

@@ -34,9 +34,11 @@ bits as ``a``.
 Evaluation is *online* (McIlroy, "Power series, power serious", 1999):
 :class:`OnlineSeries` compiles the tree once into nodes that each extend
 their coefficient list by one per step, reading only their children's
-coefficients up to the same index.  The variable ``t`` reads the
-coefficients of a series F that the caller supplies, so ``phi(F)`` can be
-built while F itself is still being solved for.
+coefficients up to the same index.  The series owns the argument F that
+``t`` stands for: every ``t`` is one shared node whose coefficients are
+F's, and ``extend(f)`` appends F's next coefficient before it computes
+the expression's next one.  So ``phi(F)`` can be built while F itself
+is still being solved for.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ from .errors import (
     ConstantTermNotOne,
     NonConstantExponent,
     NonzeroConstantTerm,
-    NonzeroInnerConstant,
     ParseError,
     SeriesError,
     UnboundParameter,
     UnknownFunction,
     ZeroConstantTerm,
 )
-from .rational import Rational, rational_root
+from .rational import Rational, rational_from_string, rational_root
 from .series import TruncatedSeries
 
 __all__ = [
@@ -78,7 +79,6 @@ __all__ = [
     "OnlineSeries",
     "parse",
     "evaluate",
-    "phi_coefficients",
 ]
 
 ParamBinding = Mapping[str, Rational]
@@ -202,11 +202,9 @@ def _tokenize(text: str) -> list[_Token]:
                     i += 1
             raw = text[start:i]
             try:
-                value = Fraction(raw)
-            except ZeroDivisionError:
-                raise ParseError(
-                    f"zero denominator in rational literal {raw!r}", start
-                ) from None
+                value = rational_from_string(raw)
+            except ValueError as err:  # a zero denominator
+                raise ParseError(str(err), start) from None
             tokens.append(_Token("number", raw, start, i, value))
             continue
         if ch.isalpha() or ch == "_":
@@ -428,14 +426,21 @@ def _const_eval(node: GfExpr, binding: ParamBinding) -> Fraction:
 #
 # Every node holds its coefficients in ``c`` and appends coefficient m in
 # ``step(m)``, reading its children's coefficients 0..m, which are already
-# there because children come first in the evaluation order.
+# there because children come first in the evaluation order and F_m is
+# appended before any step.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class _Node:
+    """A coefficient list ``c``.  A bare ``_Node`` is the argument F: no
+    step extends it, :meth:`OnlineSeries.extend` does."""
+
     __slots__ = ("c",)
+
+    def __init__(self, c: list):
+        self.c = c
 
 
 class _Const(_Node):
@@ -446,17 +451,6 @@ class _Const(_Node):
 
     def step(self, m):
         self.c.append(_ZERO)
-
-
-class _Var(_Node):
-    __slots__ = ("var",)
-
-    def __init__(self, var: list):
-        self.var = var
-        self.c = [var[0]]
-
-    def step(self, m):
-        self.c.append(self.var[m])
 
 
 class _Add(_Node):
@@ -619,40 +613,38 @@ def _series_error(cls: type[SeriesError], message: str, span: tuple[int, int]) -
 class OnlineSeries:
     """An expression evaluated at a series F, one coefficient at a time.
 
-    ``var`` is a list with the coefficients of F that are known so far; it
-    is read, never written.  ``F(0) = var[0]`` must be 0.  Construction
+    The series owns F, which starts as the constant 0.  Construction
     compiles the expression and computes coefficient 0, and raises every
     error that the expression can raise: an unbound parameter, a bad
     exponent, a constant term that a division, power, ``exp`` or ``log``
-    cannot take.  Each :meth:`extend` then computes the next coefficient m
-    in O(m) operations per node; it reads ``var[0..m]``, so the caller
-    appends F_m first.  Coefficient m depends on F_m only through the
-    term ``[t^1] * F_m``.
+    cannot take.  :meth:`extend` appends the next coefficient F_m and
+    computes coefficient m of the expression in O(m) operations per
+    node; coefficient m depends on F_m only through the term
+    ``[t^1] * F_m``.  :meth:`retract` undoes one :meth:`extend`.
     """
 
-    def __init__(self, expr: GfExpr, binding: ParamBinding, var: list):
-        if var[0] != 0:
-            raise NonzeroInnerConstant(
-                "the series substituted for t must have constant term 0"
-            )
-        self._var = var
+    def __init__(self, expr: GfExpr, binding: ParamBinding):
         self._binding = binding
+        self._F = _Node([_ZERO])  # every ``t`` compiles to this node
         self._nodes: list[_Node] = []
         #: the coefficients computed so far; read only
         self.coefficients: list[Fraction] = self._compile(expr).c
 
-    def extend(self) -> Fraction:
-        """Compute and return the next coefficient."""
-        m = len(self.coefficients)
+    def extend(self, f: Fraction) -> Fraction:
+        """Append ``f`` as F's next coefficient; compute and return the
+        expression's next coefficient."""
+        m = len(self._F.c)
+        self._F.c.append(f)
         for node in self._nodes:
             node.step(m)
         return self.coefficients[m]
 
     def retract(self) -> None:
-        """Undo the last :meth:`extend`, so that it can run again after
-        the caller changed the last coefficient of F."""
-        if len(self.coefficients) < 2:
+        """Drop the last coefficient of F and of the expression, so that
+        :meth:`extend` can run again with another value."""
+        if len(self._F.c) < 2:
             raise ValueError("nothing to retract")
+        self._F.c.pop()
         for node in self._nodes:
             node.c.pop()
 
@@ -666,7 +658,7 @@ class OnlineSeries:
         if isinstance(node, Parameter):
             return self._add(_Const(_bound(node, self._binding)))
         if isinstance(node, Variable):
-            return self._add(_Var(self._var))
+            return self._F
         if isinstance(node, Pow):
             return self._compile_pow(node)
         if isinstance(node, (Exp, Log)):
@@ -733,20 +725,15 @@ class OnlineSeries:
 
 
 def evaluate(expr: GfExpr, binding: ParamBinding, order: int) -> TruncatedSeries:
-    """Evaluate an AST to a series of the given order.
+    """Evaluate an AST at t := z to a series of the given order.
 
     All parameters must be bound to exact rationals.  Series-arithmetic
     errors carry the span of the offending subtree.
     """
     if order < 1:
         raise ValueError("evaluation order must be at least 1")
-    z = [_ZERO, _ONE] + [_ZERO] * (order - 1)
-    series = OnlineSeries(expr, binding, z)
-    for _ in range(order):
-        series.extend()
+    series = OnlineSeries(expr, binding)
+    series.extend(_ONE)
+    for _ in range(order - 1):
+        series.extend(_ZERO)
     return TruncatedSeries(series.coefficients)
-
-
-def phi_coefficients(expr: GfExpr, binding: ParamBinding, kmax: int) -> list[Fraction]:
-    """The degree-weight coefficients ``(phi_0, ..., phi_kmax)``."""
-    return list(evaluate(expr, binding, max(kmax, 1)).coefficients[: kmax + 1])

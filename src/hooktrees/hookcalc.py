@@ -22,15 +22,16 @@ Two classical solvers are included for the unweighted equations:
 function) and ``T' = phi(T)`` for increasing families (exponential
 generating function, stored as plain coefficients ``T_n/n!``).
 
-Every solver evaluates ``phi(F)`` online (see :class:`gfparse.OnlineSeries`),
-so coefficient n costs O(n) operations per expression node and order N
-costs O(N^2), instead of composing phi with the whole partial series
-again at every step.
+Every solver evaluates ``phi(F)`` online (see :class:`gfparse.OnlineSeries`):
+it hands each new coefficient F_n to ``extend``, which returns the next
+coefficient of ``phi(F)``, so coefficient n costs O(n) operations per
+expression node and order N costs O(N^2), instead of composing phi with
+the whole partial series again at every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -62,15 +63,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HookWeightFunction:
-    """A table ``rho(1..N)`` of exact rationals.
-
-    ``origin`` records where the table came from ("given", "named:1",
-    "named:1/n", "named:n", "derived-from-F", "derived-from-G"); it is
-    bookkeeping only and does not take part in equality.
-    """
+    """A table ``rho(1..N)`` of exact rationals."""
 
     values: tuple[Fraction, ...]
-    origin: str = field(default="given", compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -104,7 +99,7 @@ class HookWeightFunction:
             values = [Fraction(n) for n in range(1, size + 1)]
         else:
             raise ValueError(f"unknown named weight table {name!r}")
-        return cls(tuple(values), origin=f"named:{name}")
+        return cls(tuple(values))
 
     @classmethod
     def from_spec(cls, text: str, size: int) -> "HookWeightFunction":
@@ -126,14 +121,13 @@ class HookWeightFunction:
 def _solve(family: DegreeWeightFamily, order: int, weight) -> TruncatedSeries:
     """The unique F with ``F(0) = 0`` and ``F_n = weight(n) * [z^{n-1}] phi(F)``.
 
-    Triangular: the right side only involves coefficients of index below n.
+    Triangular: the right side only involves coefficients of index below n,
+    and extending phi(F) by F_{n-1} yields ``[z^{n-1}] phi(F)``.
     """
-    F = [Fraction(0)]
-    phi_of_F = family.phi_at(F)
-    for n in range(1, order + 1):
-        if n > 1:
-            phi_of_F.extend()
-        F.append(weight(n) * phi_of_F.coefficients[n - 1])
+    phi_of_F = family.phi_at()
+    F = [Fraction(0), weight(1) * phi_of_F.coefficients[0]]
+    for n in range(2, order + 1):
+        F.append(weight(n) * phi_of_F.extend(F[n - 1]))
     return TruncatedSeries(F)
 
 
@@ -177,16 +171,14 @@ def rho_from_series(
     Raises :class:`DenominatorVanishes` where the quotient is undefined.
     """
     _check_tree_series(F, upto)
-    phi_of_F = family.phi_at(list(F.coefficients[:upto]))
-    for _ in range(upto - 1):
-        phi_of_F.extend()
+    phi_of_F = family.phi_at()
     values = []
     for n in range(1, upto + 1):
-        den = phi_of_F.coefficients[n - 1]
+        den = phi_of_F.extend(F.coeff(n - 1)) if n > 1 else phi_of_F.coefficients[0]
         if den == 0:
             raise DenominatorVanishes(n, "[z^{n-1}] phi(F) = 0")
         values.append(F.coeff(n) / den)
-    return HookWeightFunction(tuple(values), origin="derived-from-F")
+    return HookWeightFunction(tuple(values))
 
 
 def series_from_rho(
@@ -235,20 +227,19 @@ def rho_from_forest(
             "phi_1 = 0: the degree-weight series has no compositional inverse"
         )
     F = [Fraction(0)]
-    phi_of_F = family.phi_at(F)
+    phi_of_F = family.phi_at()
     for n in range(1, upto + 1):
-        F.append(Fraction(0))
-        rest = phi_of_F.extend()
+        rest = phi_of_F.extend(Fraction(0))
         phi_of_F.retract()
-        F[n] = (G.coeff(n) - rest) / phi1
-        phi_of_F.extend()
+        F.append((G.coeff(n) - rest) / phi1)
+        phi_of_F.extend(F[n])
     values = []
     for n in range(1, upto + 1):
         den = G.coeff(n - 1)
         if den == 0:
             raise DenominatorVanishes(n, "[z^{n-1}] G = 0")
         values.append(F[n] / den)
-    return HookWeightFunction(tuple(values), origin="derived-from-G")
+    return HookWeightFunction(tuple(values))
 
 
 def binary_rho(F: TruncatedSeries, upto: int) -> HookWeightFunction:
@@ -266,7 +257,7 @@ def binary_rho(F: TruncatedSeries, upto: int) -> HookWeightFunction:
         if den == 0:
             raise DenominatorVanishes(n, "[z^{n-1}] (1+F)^2 = 0")
         values.append(F.coeff(n) / den)
-    return HookWeightFunction(tuple(values), origin="derived-from-F")
+    return HookWeightFunction(tuple(values))
 
 
 def _check_tree_series(F: TruncatedSeries, upto: int) -> None:

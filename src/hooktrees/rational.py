@@ -5,11 +5,18 @@ rational.  ``fractions.Fraction`` already is exactly that (always in lowest
 terms, positive denominator, exact arithmetic), so it is used directly.
 Rationals travel as strings: ``"p/q"`` in lowest terms, or plain ``"p"``
 when the denominator is 1.
+
+Integers of any length convert exactly in both directions.  ``int`` and
+``str`` refuse decimal text longer than ``sys.get_int_max_str_digits()``
+digits (4300 by default), a limit of the whole interpreter that a library
+should not change for its callers; ``decimal.Decimal`` converts exactly
+without it.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -20,8 +27,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def rational_to_string(value: Fraction) -> str:
     """Format ``value`` as ``"p"`` or ``"p/q"``, lowest terms."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def rational_from_string(text: str) -> Fraction:
@@ -29,10 +36,11 @@ def rational_from_string(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r} (use p or p/q)")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal {text!r}") from None
+    numerator, _, denominator = text.partition("/")
+    q = int(Decimal(denominator)) if denominator else 1
+    if q == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(Decimal(numerator)), q)
 
 
 def as_rational(value) -> Fraction:

@@ -75,7 +75,7 @@ def test_c1_enumeration_certifies_the_tree_identity():
         for rho in rho_grid(8):
             F = series_from_rho(rho, fam, 8)
             for n in range(1, 9):
-                assert weighted_sum(n, fam, rho) == F.coeff(n), (fam.name, rho.origin, n)
+                assert weighted_sum(n, fam, rho) == F.coeff(n), (fam.name, rho.to_strings()[:3], n)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     report(f"1 tree identity certified on the 6x3 grid, n<=8, {elapsed:.2f}s")
@@ -85,7 +85,7 @@ def test_c2_rho_roundtrip_at_order_16():
     for fam in family_grid():
         for rho in rho_grid(16):
             F = series_from_rho(rho, fam, 16)
-            assert rho_from_series(F, fam, 16) == rho, (fam.name, rho.origin)
+            assert rho_from_series(F, fam, 16) == rho, (fam.name, rho.to_strings()[:3])
     report("2 rho -> F -> rho roundtrip exact at N=16")
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from math import comb
 
 import pytest
@@ -35,7 +36,8 @@ class TestSeriesCommand:
         )
         assert code == 2
         assert out == ""
-        assert "degenerate" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "degenerate" in err and "--allow-degenerate" in err
 
     def test_degenerate_override(self, capsys):
         code, out, _ = run_cli(
@@ -300,6 +302,8 @@ class TestInputBounds:
              "too large"),
             (["series", "--model", "sg", "--order", "5", "--phi", "(1+t)^(2^100)"],
              "too large"),
+            (["series", "--model", "sg", "--order", "6", "--phi", "a", "--param", "a=0"],
+             "not positive; degenerate family"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):
@@ -319,3 +323,24 @@ class TestInputBounds:
         assert code == 0
         assert out.split()[-1] == str(comb(2 * cli.MAX_ORDER - 2, cli.MAX_ORDER - 1) // cli.MAX_ORDER)
 
+
+
+class TestBigIntegers:
+    """Integers longer than the interpreter's int/str digit limit (4300 by
+    default) are read and printed exactly, and the limit is left alone."""
+
+    @pytest.mark.parametrize(
+        "argv,last",
+        [
+            (["--phi", "1+10^5000*t^2"], "1" + "0" * 5000),
+            (["--phi", "1+a*t^2", "--param", "a=" + "7" * 5000], "7" * 5000),
+            (["--phi", "1+" + "7" * 5000 + "*t^2"], "7" * 5000),
+        ],
+        ids=["power", "param", "literal"],
+    )
+    def test_exact_digits(self, capsys, argv, last):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "series", "--model", "sg", "--order", "3", *argv)
+        assert (code, err) == (0, "")
+        assert out == f"coefficients 0 1 0 {last}\n"
+        assert sys.get_int_max_str_digits() == limit

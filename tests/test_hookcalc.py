@@ -154,11 +154,6 @@ class TestHookWeightFunction:
         with pytest.raises(RhoRangeExceeded):
             rho(0)
 
-    def test_equality_ignores_origin(self):
-        a = HookWeightFunction((Q(1), Q(1, 2)), origin="given")
-        b = HookWeightFunction((Q(1), Q(1, 2)), origin="derived-from-F")
-        assert a == b
-
     def test_zero_denominator_is_an_input_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             HookWeightFunction.from_spec("1,1/0,1", 3)

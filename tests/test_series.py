@@ -241,6 +241,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TruncatedSeries.from_strings(["0.5"])
 
+    def test_long_integers_are_exact_both_ways(self):
+        big = 10**20000
+        f = S(big, Q(-big - 1, 3), Q(7, big))
+        strings = ["1" + "0" * 20000, "-1" + "0" * 19999 + "1/3", "7/1" + "0" * 20000]
+        assert f.to_strings() == strings
+        assert TruncatedSeries.from_strings(strings) == f
+
 
 class TestScalarMixing:
     def test_scalar_add_mul(self):
