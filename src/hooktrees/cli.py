@@ -6,13 +6,16 @@ tree identity by exhaustive enumeration) and ``labellings`` (count the
 increasing labellings of one tree three ways).
 
 Exit codes: 0 success/verified, 1 verified-false, 2 input error,
-3 the weight function is undefined (a vanishing denominator).  Input past
-a resource bound is an input error: ``--order`` above ``MAX_ORDER``,
-``--max-n`` above ``MAX_VERIFY_N``, an expression nested deeper than
-``gfparse.MAX_DEPTH``, a power too large and a tree nested deeper than
-``treeoracle.MAX_TREE_DEPTH``.  Rationals
-always print as ``p`` or ``p/q``, never as decimals; identical
-invocations produce byte-identical output.
+3 the weight function is undefined (a vanishing denominator), 4 an
+internal error (an exception that no input should cause: a bug, or the
+machine out of memory), reported as one ``error: internal error:`` line
+without a traceback.  Input past a resource bound is an input error:
+``--order`` above ``MAX_ORDER``, ``--max-n`` above ``MAX_VERIFY_N``, an
+expression nested deeper than ``gfparse.MAX_DEPTH``, a power too large
+and a tree nested deeper than ``treeoracle.MAX_TREE_DEPTH``.  Rationals
+always print as ``p`` or ``p/q``, never as decimals, and integers print
+exactly at any length; identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
 EXIT_UNDEFINED = 3
+EXIT_INTERNAL = 4
 
 MAX_VERIFY_N = 12
 # The slowest builtin at this order, rho --from-model sg --phi labelled,
@@ -159,9 +163,21 @@ def _evaluate_expression(text: str, binding: dict, order: int) -> TruncatedSerie
     return gfparse.evaluate(gfparse.parse(text), binding, order)
 
 
+def _json_object(payload: dict) -> str:
+    """The bytes of ``json.dumps(payload)``, except that integer values
+    print exactly at any length: ``json`` stops at the interpreter's
+    int/str digit limit."""
+    items = (
+        json.dumps(key) + ": "
+        + (rational_to_string(value) if type(value) is int else json.dumps(value))
+        for key, value in payload.items()
+    )
+    return "{" + ", ".join(items) + "}"
+
+
 def _emit_table(args, payload: dict, csv_rows: list[list[str]], plain: list[str]) -> None:
     if args.output == "json":
-        print(json.dumps(payload))
+        print(_json_object(payload))
     elif args.output == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -288,6 +304,8 @@ def _cmd_labellings(args) -> int:
     agree = by_hook.denominator == 1 and all(r == results[0] for r in results)
 
     hook_str = rational_to_string(by_hook)
+    recursive_str = rational_to_string(by_recursion)
+    brute_str = rational_to_string(by_brute) if by_brute is not None else ""
     payload = {
         "tree": treeoracle.format_tree(tree),
         "n": tree.size,
@@ -302,21 +320,19 @@ def _cmd_labellings(args) -> int:
         f"n {tree.size}",
         "hooks " + " ".join(str(h) for h in hooks),
         f"hook-formula {hook_str}",
-        f"recursive {by_recursion}",
-        f"bruteforce {by_brute if by_brute is not None else 'skipped'}",
+        f"recursive {recursive_str}",
+        f"bruteforce {brute_str or 'skipped'}",
         f"agree {'true' if agree else 'false'}",
     ]
-    rows = [["field", "value"]] + [
-        [key, "" if value is None else str(value)]
-        for key, value in (
-            ("tree", payload["tree"]),
-            ("n", tree.size),
-            ("hooks", " ".join(str(h) for h in hooks)),
-            ("hook-formula", hook_str),
-            ("recursive", by_recursion),
-            ("bruteforce", by_brute),
-            ("agree", "true" if agree else "false"),
-        )
+    rows = [
+        ["field", "value"],
+        ["tree", payload["tree"]],
+        ["n", str(tree.size)],
+        ["hooks", " ".join(str(h) for h in hooks)],
+        ["hook-formula", hook_str],
+        ["recursive", recursive_str],
+        ["bruteforce", brute_str],
+        ["agree", "true" if agree else "false"],
     ]
     _emit_table(args, payload, rows, plain)
     return EXIT_OK if agree else EXIT_FALSIFIED
@@ -343,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HookTreesError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -17,17 +17,13 @@ the CLI decides whether to refuse it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import gfparse
+from ._record import Record
 from .errors import DomainError
 from .rational import Rational, as_rational, rational_from_string, rational_to_string
 from .series import TruncatedSeries
-
-if TYPE_CHECKING:  # only for annotations; avoids an import cycle
-    from .treeoracle import OrderedTree
 
 __all__ = [
     "DegreeWeightFamily",
@@ -124,12 +120,12 @@ class DegreeWeightFamily:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    degenerate: bool
-    violations: list[str]
-    warnings: list[str]
+class ValidationReport(Record):
+    """What :meth:`DegreeWeightFamily.validate` found: ``ok`` unless a
+    standing assumption fails; ``violations`` and ``warnings`` are
+    lists of messages."""
+
+    __slots__ = ("ok", "degenerate", "violations", "warnings")
 
 
 # --- builtins -----------------------------------------------------------------

@@ -43,10 +43,10 @@ is still being solved for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
+from ._record import Record
 from .errors import (
     ConstantTermNotOne,
     NonConstantExponent,
@@ -92,74 +92,68 @@ _RESERVED = ("exp", "log")
 
 # --- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GfExpr:
+class GfExpr(Record):
     """Base AST node; ``span`` is the (start, end) byte range in the source.
 
     ``depth`` counts the levels of operators in the subtree: 0 for a leaf.
+    Nodes are immutable and compare by class and fields, ignoring
+    ``span`` and ``depth``.
     """
 
-    span: tuple[int, int] = field(compare=False)
-    depth: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("span", "depth")
+    _fields = ("span",)
+    _uncompared = ("span",)
 
-    def __post_init__(self):
-        below = [v.depth + 1 for v in vars(self).values() if isinstance(v, GfExpr)]
-        object.__setattr__(self, "depth", max(below, default=0))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        depth = 0
+        for f in self._fields:
+            v = getattr(self, f)
+            if isinstance(v, GfExpr) and v.depth >= depth:
+                depth = v.depth + 1
+        object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
 class RationalLiteral(GfExpr):
-    value: Fraction
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Variable(GfExpr):
     """The series variable ``t``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Parameter(GfExpr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(GfExpr):
-    left: GfExpr
-    right: GfExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(GfExpr):
-    left: GfExpr
-    right: GfExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(GfExpr):
-    left: GfExpr
-    right: GfExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(GfExpr):
-    left: GfExpr
-    right: GfExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Pow(GfExpr):
-    base: GfExpr
-    exponent: GfExpr
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
 class Exp(GfExpr):
-    arg: GfExpr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Log(GfExpr):
-    arg: GfExpr
+    __slots__ = ("arg",)
 
 
 # --- tokenizer ------------------------------------------------------------------
@@ -167,13 +161,10 @@ class Log(GfExpr):
 _OPERATORS = "+-*/^()"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "ident", one of _OPERATORS, "end"
-    text: str
-    start: int
-    end: int
-    value: Fraction | None = None
+class _Token(Record):
+    # kind is "number", "ident", one of _OPERATORS or "end"; value is the
+    # Fraction of a number and None otherwise
+    __slots__ = ("kind", "text", "start", "end", "value")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -188,7 +179,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i, i + 1))
+            tokens.append(_Token(ch, ch, i, i + 1, None))
             i += 1
             continue
         if ch.isdigit():
@@ -211,10 +202,10 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("ident", text[start:i], start, i))
+            tokens.append(_Token("ident", text[start:i], start, i, None))
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n, n))
+    tokens.append(_Token("end", "", n, n, None))
     return tokens
 
 

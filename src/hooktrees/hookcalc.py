@@ -31,10 +31,10 @@ the whole partial series again at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from ._record import Record
 from .errors import (
     ConstantMismatch,
     DenominatorVanishes,
@@ -61,16 +61,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HookWeightFunction:
-    """A table ``rho(1..N)`` of exact rationals."""
+class HookWeightFunction(Record):
+    """A table ``rho(1..N)`` of exact rationals.
 
-    values: tuple[Fraction, ...]
+    ``values`` may hold ints and Fractions and is stored as a tuple of
+    Fractions; tables are immutable and compare by their values.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(as_rational(v) for v in self.values)
-        )
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        super().__init__(tuple(as_rational(v) for v in values))
 
     @property
     def size(self) -> int:

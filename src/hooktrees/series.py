@@ -17,8 +17,8 @@ here.  So the code stays the plain quadratic (and, for ``compose`` and
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import (
     ConstantTermNotOne,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .rational import as_rational, rational_from_string, rational_to_string
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "TruncatedSeries",

@@ -19,13 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING
 
 from ..errors import RhoRangeExceeded, SizeLimitExceeded
-
-if TYPE_CHECKING:
-    from ..families import DegreeWeightFamily
-    from ..hookcalc import HookWeightFunction
 
 __all__ = ["TALLY_LIMIT", "backend_name", "signature_counts", "weighted_sum"]
 

@@ -10,15 +10,12 @@ calculus.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import TYPE_CHECKING, Iterator
 
 from ..errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
-
-if TYPE_CHECKING:
-    from ..hookcalc import HookWeightFunction
 
 __all__ = [
     "OrderedTree",

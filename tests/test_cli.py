@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
 import sys
-from math import comb
+from decimal import Decimal
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +252,25 @@ class TestContract:
         assert info.value.code == 0
         assert "hooktrees" in capsys.readouterr().out
 
+    def test_internal_error_exits_4_with_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setitem(cli._HANDLERS, "series", broken)
+        code, out, err = run_cli(
+            capsys, "series", "--model", "sg", "--phi", "plane", "--order", "3"
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: RuntimeError: no such state\n"
+
+    def test_interrupt_is_not_an_internal_error(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "--phi", "plane", "--rho", "1", "--max-n", "3"])
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
@@ -344,3 +367,42 @@ class TestBigIntegers:
         assert (code, err) == (0, "")
         assert out == f"coefficients 0 1 0 {last}\n"
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("output", ["plain", "json", "csv"])
+    def test_labellings_of_a_large_star(self, capsys, output):
+        # the root of a star with 2000 leaves: 2000! labellings, 5736 digits
+        limit = sys.get_int_max_str_digits()
+        digits = str(Decimal(factorial(2000)))
+        code, out, err = run_cli(
+            capsys, "labellings", "--tree", "(" + "()" * 2000 + ")", "--output", output
+        )
+        assert (code, err) == (0, "")
+        expected = {
+            "plain": [f"hook-formula {digits}\n", f"recursive {digits}\n",
+                      "bruteforce skipped\n", "agree true\n"],
+            "json": [f'"hook_formula": "{digits}", "recursive": {digits}, '
+                     '"bruteforce": null, "agree": true}\n'],
+            "csv": [f"hook-formula,{digits}\nrecursive,{digits}\nbruteforce,\n"],
+        }[output]
+        assert all(part in out for part in expected)
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestColdStart:
+    def test_import_needs_no_dataclasses_inspect_or_typing(self):
+        # -S keeps site-packages and its .pth files out, so only the
+        # package and the stdlib modules it imports are loaded
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, hooktrees.cli; "
+            "print(hooktrees.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        location, loaded = result.stdout.splitlines()
+        assert Path(location).resolve().is_relative_to(src)
+        assert loaded == "[]"

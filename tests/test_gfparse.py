@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -18,6 +20,7 @@ from hooktrees.gfparse import (
     Add,
     Div,
     Exp,
+    Log,
     Mul,
     OnlineSeries,
     Parameter,
@@ -106,6 +109,66 @@ class TestGrammar:
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError):
             parse("2t")
+
+
+class TestNodeValues:
+    """AST nodes are immutable values: equality and hashing by class and
+    fields, never by span or depth."""
+
+    def test_equality_ignores_span(self):
+        assert Add((0, 3), lit(1), Variable((2, 3))) == Add((5, 9), lit(1), Variable((0, 0)))
+        assert parse("(1+t)^2") == parse("( 1 + t ) ^ 2")
+        assert parse("(1+t)^2").span != parse("( 1 + t ) ^ 2").span
+        assert Add((0, 0), lit(1), lit(2)) != Add((0, 0), lit(2), lit(1))
+
+    def test_equal_nodes_hash_equal(self):
+        assert hash(parse("exp(t)*a")) == hash(parse("exp( t ) * a"))
+        assert len({parse("1/(1-t)"), parse(" 1 / (1 - t)"), parse("1/(1+t)")}) == 2
+
+    def test_class_is_part_of_the_value(self):
+        for one, other in [(Add, Sub), (Mul, Div), (Exp, Log)]:
+            fields = (lit(1), Variable((0, 0))) if one is not Exp else (Variable((0, 0)),)
+            assert one((0, 0), *fields) != other((0, 0), *fields)
+        assert Variable((0, 0)) == Variable((3, 4)) != lit(0)
+
+    def test_keyword_construction(self):
+        assert Add(span=(0, 0), left=lit(1), right=Variable((0, 0))) == parse("1+t")
+        assert Pow((0, 0), exponent=lit(2), base=Variable((0, 0))) == parse("t^2")
+        assert Parameter(name="a", span=(0, 1)) == parse("a")
+        with pytest.raises(TypeError):
+            Add((0, 0), lit(1))
+        with pytest.raises(TypeError):
+            Add((0, 0), lit(1), lit(2), lit(3))
+        with pytest.raises(TypeError):
+            Exp((0, 0), argument=lit(1))
+
+    def test_depth_counts_operator_levels(self):
+        assert lit(1).depth == 0 and Variable((0, 0)).depth == 0
+        assert parse("1+t").depth == 1
+        assert parse("(1+t)^2").depth == 2
+        assert parse("-exp(t*a)").depth == 3
+        assert parse("1+t+t^2").depth == 2
+
+    def test_fields_cannot_be_assigned(self):
+        node = parse("(1+t)^2")
+        for name in ("base", "span", "depth", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, lit(3))
+        with pytest.raises(AttributeError):
+            del node.base
+        assert node == parse("(1+t)^2") and node.depth == 2
+
+    def test_repr_shows_class_and_fields(self):
+        assert repr(parse("a+t")) == (
+            "Add(span=(0, 3), left=Parameter(span=(0, 1), name='a'), "
+            "right=Variable(span=(2, 3)))"
+        )
+
+    def test_copies_are_equal(self):
+        node = parse("1/(1-a*t)^2")
+        assert copy.deepcopy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert pickle.loads(pickle.dumps(node)).depth == node.depth
 
 
 class TestParseErrors:

@@ -158,6 +158,33 @@ class TestHookWeightFunction:
         with pytest.raises(ValueError, match="zero denominator"):
             HookWeightFunction.from_spec("1,1/0,1", 3)
 
+    def test_values_are_coerced_to_a_tuple_of_fractions(self):
+        rho = HookWeightFunction([1, Q(1, 2), 3])
+        assert rho.values == (1, Q(1, 2), 3)
+        assert all(type(v) is Q for v in rho.values)
+        assert HookWeightFunction(values=iter([2])).values == (Q(2),)
+        with pytest.raises(TypeError):
+            HookWeightFunction([1, 0.5])
+
+    def test_equality_and_hash_by_values(self):
+        table = HookWeightFunction((1, Q(1, 2)))
+        assert table == HookWeightFunction([Q(1), Q(1, 2)])
+        assert hash(table) == hash(HookWeightFunction([Q(1), Q(1, 2)]))
+        assert table != HookWeightFunction((1, Q(1, 3)))
+        assert table != (Q(1), Q(1, 2))
+        assert len({table, HookWeightFunction.from_spec("1,1/2", 2)}) == 1
+
+    def test_immutable(self):
+        table = HookWeightFunction.named("1", 3)
+        with pytest.raises(AttributeError):
+            table.values = (Q(2),)
+        with pytest.raises(AttributeError):
+            del table.values
+        assert table.values == (1, 1, 1)
+        assert repr(table) == (
+            "HookWeightFunction(values=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)))"
+        )
+
     def test_from_spec_named_and_explicit(self):
         assert HookWeightFunction.from_spec("1/n", 4) == HookWeightFunction.named("1/n", 4)
         explicit = HookWeightFunction.from_spec("1,1/2,3", 3)
