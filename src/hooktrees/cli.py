@@ -265,14 +265,15 @@ def _cmd_verify(args) -> int:
     # both sides are recomputed from scratch on every run: the right side
     # by the coefficient recurrence, the left by exhaustive enumeration
     rhs_series = hookcalc.series_from_rho(rho, family, args.max_n)
+    # the largest size first: its one tally pass serves every smaller size
+    lhs = {n: treeoracle.weighted_sum(n, family, rho) for n in range(args.max_n, 0, -1)}
     all_equal = True
     reports = []
     for n in range(1, args.max_n + 1):
-        lhs = treeoracle.weighted_sum(n, family, rho)
         rhs = rhs_series.coeff(n)
-        equal = lhs == rhs
+        equal = lhs[n] == rhs
         all_equal &= equal
-        reports.append((n, rational_to_string(lhs), rational_to_string(rhs), equal))
+        reports.append((n, rational_to_string(lhs[n]), rational_to_string(rhs), equal))
 
     if args.output == "json":
         for n, lhs, rhs, equal in reports:

@@ -39,6 +39,10 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
+# The negative-weight warning names this many degrees and counts the rest,
+# so it stays one short line at any order.
+_SHOWN_DEGREES = 5
+
 
 class DegreeWeightFamily:
     """A degree-weight sequence given by an expression in ``t``.
@@ -107,10 +111,11 @@ class DegreeWeightFamily:
             )
         negatives = [k for k in range(kmax + 1) if coeffs[k] < 0]
         if negatives:
+            shown = ", ".join(str(k) for k in negatives[:_SHOWN_DEGREES])
+            more = ", ..." if len(negatives) > _SHOWN_DEGREES else ""
             warnings.append(
-                "negative weights at degrees "
-                + ", ".join(str(k) for k in negatives)
-                + " (identities remain formal)"
+                f"negative weights at {len(negatives)} of degrees 0..{kmax}: "
+                f"{shown}{more} (identities remain formal)"
             )
         return ValidationReport(
             ok=not violations,

@@ -93,6 +93,17 @@ class TestRhoCommand:
         assert code == 0
         assert out == "1 1 1 1 1\n"
 
+    def test_negative_weight_warning_is_one_short_line(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rho", "--phi", "yang:1/2,3/2", "--from-model", "sg", "--order", "60"
+        )
+        assert code == 0
+        # (1 + t/2)^(3/2) has negative coefficients at the odd degrees 3..59
+        assert err == (
+            "warning: yang:1/2,3/2: negative weights at 29 of degrees 0..60: "
+            "3, 5, 7, 9, 11, ... (identities remain formal)\n"
+        )
+
     def test_explicit_series_expression(self, capsys):
         code, out, _ = run_cli(
             capsys, "rho", "--phi", "binary", "--F", "t/(1-t)", "--order", "4"
@@ -188,6 +199,25 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "equal=false" in out
+
+    def test_one_tally_pass(self, capsys, monkeypatch):
+        from hooktrees.treeoracle import tally
+
+        passes = []
+        grouped_sizes = tally._grouped_sizes
+
+        def counted(n):
+            passes.append(n)
+            return grouped_sizes(n)
+
+        monkeypatch.setattr(tally, "_indexed", {})
+        monkeypatch.setattr(tally, "_grouped_sizes", counted)
+        code, out, _ = run_cli(
+            capsys, "verify", "--phi", "plane", "--rho", "1", "--max-n", "12"
+        )
+        assert code == 0
+        assert out.count("equal=true") == 12
+        assert passes == [12]
 
     def test_max_n_bound(self, capsys):
         code, _, err = run_cli(

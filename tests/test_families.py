@@ -128,7 +128,20 @@ class TestValidation:
     def test_negative_weights_warn_only(self):
         report = families.from_expression("1-t+2*t^2").validate(8)
         assert report.ok
-        assert report.warnings
+        assert report.warnings == [
+            "negative weights at 1 of degrees 0..8: 1 (identities remain formal)"
+        ]
+
+    def test_negative_weight_warning_counts_and_stays_short(self):
+        fam = families.yang(Q(1, 2), Q(3, 2))
+        report = fam.validate(300)
+        negatives = [k for k, c in enumerate(fam.phi_series(300).coefficients) if c < 0]
+        assert report.ok and len(negatives) > 100
+        assert report.warnings == [
+            f"negative weights at {len(negatives)} of degrees 0..300: "
+            + ", ".join(str(k) for k in negatives[:5])
+            + ", ... (identities remain formal)"
+        ]
 
 
 class TestWeights:

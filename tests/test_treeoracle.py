@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 from math import comb, factorial
+from random import Random
 
 import pytest
 
@@ -24,10 +25,52 @@ from hooktrees.treeoracle import (
     tree_weight_hook,
     weighted_sum,
 )
+from hooktrees.treeoracle import tally
 
 
 def catalan(k):
     return comb(2 * k, k) // (k + 1)
+
+
+def per_signature_sum(n, family, rho):
+    """The reference for ``weighted_sum``: every field of every signature
+    of ``signature_counts(n)`` raised and multiplied in turn, as integers
+    over one common denominator."""
+    weights = [family.weight_of_degree(k) for k in range(n)]
+    weights += [rho(h) for h in range(1, n + 1)]
+    tables = []
+    denominator = 1
+    for f, w in enumerate(weights):
+        top = n // max(f if f < n else f - n + 1, 1)
+        p, q = w.numerator, w.denominator
+        tables.append([p**c * q ** (top - c) for c in range(top + 1)])
+        denominator *= q**top
+    total = 0
+    for key, term in signature_counts(n).items():
+        for table, c in zip(tables, key):
+            term *= table[c]
+        total += term
+    return Q(total, denominator)
+
+
+class DegreeTable:
+    """A degree-weight family given by its table ``phi_0 .. phi_{n-1}``."""
+
+    name = "table"
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def weight_of_degree(self, k):
+        return self.values[k]
+
+
+def random_weights(rng, count):
+    """Rationals with zeros, negative values and large denominators."""
+    denominators = (1, 2, 3, 7, 10**12 + 39, 2**61 - 1, 3**40)
+    values = [Q(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(count)]
+    values[rng.randrange(count)] = Q(0)
+    return values
 
 
 class TestEnumeration:
@@ -192,22 +235,68 @@ class TestWeightedSum:
         # the grouped sum over one common denominator must equal the
         # definitional sum over the stream, also with negative weights,
         # zero weights (binary has phi_k = 0 for k >= 3) and a zero rho(h)
-        varied = tuple(Q(((3 * n) % 5) + 1, n) for n in range(1, 8))
+        varied = tuple(Q(((3 * n) % 5) + 1, n) for n in range(1, 10))
         cases = [
             (families.yang(Q(1, 2), Q(3)), varied),
             (families.yang(Q(-1, 2), Q(3, 2)), varied),
-            (families.binary(), (Q(2, 3), Q(-5, 4), Q(0), Q(7), Q(1, 6), Q(3), Q(-1, 9))),
-            (families.labelled(), (Q(1), Q(0), Q(1, 3), Q(4, 5), Q(-2), Q(1, 7), Q(5, 2))),
+            (families.binary(), (Q(2, 3), Q(-5, 4), Q(0), Q(7), Q(1, 6), Q(3), Q(-1, 9),
+                                 Q(4, 11), Q(-3))),
+            (families.labelled(), (Q(1), Q(0), Q(1, 3), Q(4, 5), Q(-2), Q(1, 7), Q(5, 2),
+                                   Q(-8, 3), Q(1, 10))),
         ]
         for fam, values in cases:
             rho = HookWeightFunction(values)
-            for n in range(1, 8):
+            for n in range(1, 10):
                 literal = sum(
                     (fam.tree_weight_deg(t) * tree_weight_hook(t, rho)
                      for t in enumerate_trees(n)),
                     Q(0),
                 )
                 assert weighted_sum(n, fam, rho) == literal, (fam.name, n)
+
+    def test_matches_per_signature_reference(self):
+        # block by block against field by field, for every builtin and for
+        # random tables holding 0, negative values and large denominators
+        rng = Random(2010)
+        cases = [
+            (families.from_spec(spec), HookWeightFunction(random_weights(rng, 14)))
+            for spec in ("binary", "kary:3", "plane", "labelled", "yang:1/2,3/2",
+                         "polyalpha:1/2")
+        ]
+        cases += [
+            (families.labelled(), HookWeightFunction.named(name, 14))
+            for name in ("1", "1/n", "n")
+        ]
+        cases += [
+            (DegreeTable(random_weights(rng, 14)), HookWeightFunction(random_weights(rng, 14)))
+            for _ in range(3)
+        ]
+        for fam, rho in cases:
+            for n in range(1, 15):
+                assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (
+                    fam.name, n)
+
+    def test_sizes_one_and_two_have_an_empty_low_block(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        fam = DegreeTable((Q(3, 5), Q(-7, 2)))
+        rho = HookWeightFunction((Q(2, 9), Q(-4, 11)))
+        # size 2 is one edge: a root of degree 1 and hook 2 over a leaf
+        assert weighted_sum(2, fam, rho) == Q(3, 5) * Q(-7, 2) * Q(2, 9) * Q(-4, 11)
+        assert weighted_sum(1, fam, rho) == Q(3, 5) * Q(2, 9)
+        assert tally._indexed[1].low == tally._indexed[2].low == (b"",)
+
+    def test_one_pass_indexes_every_size(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        weighted_sum(TALLY_LIMIT, families.plane(), HookWeightFunction.named("1", TALLY_LIMIT))
+        assert sorted(tally._indexed) == list(range(1, TALLY_LIMIT + 1))
+        for m, index in tally._indexed.items():
+            flat = {}
+            for degrees, js, counts in index.rows:
+                assert len(js) == len(counts)
+                for j, count in zip(js, counts):
+                    flat[degrees + index.low[index.lo[j]] + index.high[index.hi[j]]] = count
+            assert sum(flat.values()) == catalan(m - 1), m
+            assert flat == signature_counts(m), m
 
     def test_rho_table_too_short(self):
         with pytest.raises(RhoRangeExceeded):
