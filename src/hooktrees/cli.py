@@ -44,6 +44,7 @@ MAX_VERIFY_N = 12
 MAX_ORDER = 300
 
 _BUILTIN_SPEC = re.compile(r"^[a-z]+(:\S*)?$")
+_RESERVED_NAMES = ("t", "exp", "log")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,35 +129,45 @@ def _parse_params(items: list[str]) -> dict:
         name = name.strip()
         if not eq or not name.isidentifier():
             raise ValueError(f"malformed --param {item!r}, expected NAME=P/Q")
+        if name in _RESERVED_NAMES:
+            raise ValueError(f"--param cannot bind {name!r}: the name is reserved")
         if name in binding:
             raise ValueError(f"parameter {name!r} bound twice")
         binding[name] = rational_from_string(value)
     return binding
 
 
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValueError("--order must be at least 1")
-    if order > MAX_ORDER:
-        raise ValueError(f"--order must be at most {MAX_ORDER}")
-
-
-def _resolve_family(text: str, binding: dict) -> families.DegreeWeightFamily:
-    head = text.strip().partition(":")[0]
-    if _BUILTIN_SPEC.match(text.strip()) and head in families.BUILTIN_NAMES:
-        return families.from_spec(text.strip())
-    return families.from_expression(text, binding)
-
-
-def _check_family(family, kmax: int, allow_degenerate: bool) -> None:
-    report = family.validate(kmax)
+def _load_family(args) -> tuple[families.DegreeWeightFamily, dict]:
+    """The preamble of every command with ``--phi``, in a fixed order: parse
+    ``--param``, check the command's own arguments, resolve ``--phi``, then
+    validate the family up to the largest size the command needs."""
+    binding = _parse_params(args.param)
+    if args.command == "verify":
+        size = args.max_n
+        if not 1 <= size <= MAX_VERIFY_N:
+            raise ValueError(f"--max-n must be in 1..{MAX_VERIFY_N}")
+    else:
+        size = args.order
+        if size < 1:
+            raise ValueError("--order must be at least 1")
+        if size > MAX_ORDER:
+            raise ValueError(f"--order must be at most {MAX_ORDER}")
+        if args.command == "rho" and (args.from_model is None) == (args.f_expr is None):
+            raise ValueError("rho needs exactly one of --from-model and --F")
+    text = args.phi.strip()
+    if _BUILTIN_SPEC.match(text) and text.partition(":")[0] in families.BUILTIN_NAMES:
+        family = families.from_spec(text)
+    else:
+        family = families.from_expression(args.phi, binding)
+    report = family.validate(max(size, 2))
     for warning in report.warnings:
         print(f"warning: {family.name}: {warning}", file=sys.stderr)
-    if not report.ok and not allow_degenerate:
+    if not report.ok and not args.allow_degenerate:
         raise DomainError(
             f"{family.name}: {'; '.join(report.violations)} "
             "(use --allow-degenerate to run anyway)"
         )
+    return family, binding
 
 
 def _evaluate_expression(text: str, binding: dict, order: int) -> TruncatedSeries:
@@ -175,9 +186,11 @@ def _json_object(payload: dict) -> str:
     return "{" + ", ".join(items) + "}"
 
 
-def _emit_table(args, payload: dict, csv_rows: list[list[str]], plain: list[str]) -> None:
+def _emit_table(args, payload: dict | list, csv_rows: list[list[str]], plain: list[str]) -> None:
+    """A list ``payload`` prints as one JSON object per line."""
     if args.output == "json":
-        print(_json_object(payload))
+        for item in payload if isinstance(payload, list) else [payload]:
+            print(_json_object(item))
     elif args.output == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -192,10 +205,7 @@ def _emit_table(args, payload: dict, csv_rows: list[list[str]], plain: list[str]
 
 
 def _cmd_series(args) -> int:
-    binding = _parse_params(args.param)
-    _check_order(args.order)
-    family = _resolve_family(args.phi, binding)
-    _check_family(family, max(args.order, 2), args.allow_degenerate)
+    family, _ = _load_family(args)
     if args.model == "sg":
         result = hookcalc.solve_simply_generated(family, args.order)
         counts = None
@@ -221,12 +231,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    binding = _parse_params(args.param)
-    _check_order(args.order)
-    if (args.from_model is None) == (args.f_expr is None):
-        raise ValueError("rho needs exactly one of --from-model and --F")
-    family = _resolve_family(args.phi, binding)
-    _check_family(family, max(args.order, 2), args.allow_degenerate)
+    family, binding = _load_family(args)
     if args.from_model == "sg":
         F = hookcalc.solve_simply_generated(family, args.order)
     elif args.from_model == "inc":
@@ -239,10 +244,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_rho_forest(args) -> int:
-    binding = _parse_params(args.param)
-    _check_order(args.order)
-    family = _resolve_family(args.phi, binding)
-    _check_family(family, max(args.order, 2), args.allow_degenerate)
+    family, binding = _load_family(args)
     G = _evaluate_expression(args.g_expr, binding, args.order)
     rho = hookcalc.rho_from_forest(G, family, args.order)
     _emit_rho(args, rho)
@@ -256,11 +258,7 @@ def _emit_rho(args, rho: hookcalc.HookWeightFunction) -> None:
 
 
 def _cmd_verify(args) -> int:
-    binding = _parse_params(args.param)
-    if not 1 <= args.max_n <= MAX_VERIFY_N:
-        raise ValueError(f"--max-n must be in 1..{MAX_VERIFY_N}")
-    family = _resolve_family(args.phi, binding)
-    _check_family(family, max(args.max_n, 2), args.allow_degenerate)
+    family, _ = _load_family(args)
     rho = hookcalc.HookWeightFunction.from_spec(args.rho, args.max_n)
     # both sides are recomputed from scratch on every run: the right side
     # by the coefficient recurrence, the left by exhaustive enumeration
@@ -268,26 +266,17 @@ def _cmd_verify(args) -> int:
     # the largest size first: its one tally pass serves every smaller size
     lhs = {n: treeoracle.weighted_sum(n, family, rho) for n in range(args.max_n, 0, -1)}
     all_equal = True
-    reports = []
+    objects, rows, plain = [], [["n", "lhs", "rhs", "equal"]], []
     for n in range(1, args.max_n + 1):
         rhs = rhs_series.coeff(n)
         equal = lhs[n] == rhs
         all_equal &= equal
-        reports.append((n, rational_to_string(lhs[n]), rational_to_string(rhs), equal))
-
-    if args.output == "json":
-        for n, lhs, rhs, equal in reports:
-            print(json.dumps({"n": n, "lhs": lhs, "rhs": rhs, "equal": equal}))
-    elif args.output == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "lhs", "rhs", "equal"])
-        for n, lhs, rhs, equal in reports:
-            writer.writerow([str(n), lhs, rhs, "true" if equal else "false"])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        for n, lhs, rhs, equal in reports:
-            print(f"n={n} lhs={lhs} rhs={rhs} equal={'true' if equal else 'false'}")
+        left, right = rational_to_string(lhs[n]), rational_to_string(rhs)
+        verdict = "true" if equal else "false"
+        objects.append({"n": n, "lhs": left, "rhs": right, "equal": equal})
+        rows.append([str(n), left, right, verdict])
+        plain.append(f"n={n} lhs={left} rhs={right} equal={verdict}")
+    _emit_table(args, objects, rows, plain)
     return EXIT_OK if all_equal else EXIT_FALSIFIED
 
 

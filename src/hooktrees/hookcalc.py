@@ -26,7 +26,10 @@ Every solver evaluates ``phi(F)`` online (see :class:`gfparse.OnlineSeries`):
 it hands each new coefficient F_n to ``extend``, which returns the next
 coefficient of ``phi(F)``, so coefficient n costs O(n) operations per
 expression node and order N costs O(N^2), instead of composing phi with
-the whole partial series again at every step.
+the whole partial series again at every step.  The tests hold the
+solvers against composition, against the eager series algebra in
+``tests/eager_series.py`` and against the closed forms of
+``tests/test_catalogue.py``.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from ._record import Record
 from .errors import (
     ConstantMismatch,
     DenominatorVanishes,
-    DomainError,
     NotInvertible,
     OrderExceeded,
     RhoRangeExceeded,
 )
 from .families import DegreeWeightFamily
-from .rational import Rational, as_rational, rational_from_string, rational_to_string
+from .rational import as_rational, rational_from_string, rational_to_string
 from .series import TruncatedSeries
 
 __all__ = [
@@ -55,9 +57,6 @@ __all__ = [
     "rho_from_series",
     "series_from_rho",
     "rho_from_forest",
-    "binary_rho",
-    "alpha_family_series",
-    "alpha_family_count",
 ]
 
 
@@ -243,24 +242,6 @@ def rho_from_forest(
     return HookWeightFunction(tuple(values))
 
 
-def binary_rho(F: TruncatedSeries, upto: int) -> HookWeightFunction:
-    """The binary-tree special case ``rho(n) = [z^n]F / [z^{n-1}](1+F)^2``.
-
-    Implemented directly on the series (no family object) so it can serve
-    as an independent cross-check of :func:`rho_from_series` at
-    ``phi = (1+t)^2``.
-    """
-    _check_tree_series(F, upto)
-    den_series = (F.truncate(upto - 1) + 1).pow_int(2)
-    values = []
-    for n in range(1, upto + 1):
-        den = den_series.coeff(n - 1)
-        if den == 0:
-            raise DenominatorVanishes(n, "[z^{n-1}] (1+F)^2 = 0")
-        values.append(F.coeff(n) / den)
-    return HookWeightFunction(tuple(values))
-
-
 def _check_tree_series(F: TruncatedSeries, upto: int) -> None:
     if upto < 1:
         raise ValueError("upto must be at least 1")
@@ -270,44 +251,3 @@ def _check_tree_series(F: TruncatedSeries, upto: int) -> None:
         raise OrderExceeded(
             f"F is known to order {F.order} but rho(1..{upto}) needs order {upto}"
         )
-
-
-# --- the 1/(1-t)^alpha closed forms ------------------------------------------------
-
-
-def alpha_family_series(alpha: Rational, order: int) -> TruncatedSeries:
-    """Closed-form EGF coefficients for ``phi(t) = 1/(1-t)^alpha``:
-
-    ``T(z) = 1 - (1 - (alpha+1) z)^(1/(alpha+1))``, expanded exactly.
-    """
-    alpha = _check_alpha(alpha)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    a1 = alpha + 1
-    base = TruncatedSeries([1, -a1], order=order)
-    return 1 - base.pow_rational(Fraction(1) / a1)
-
-
-def alpha_family_count(alpha: Rational, n: int) -> Fraction:
-    """The count ``T_n = (alpha+1)^(n-1) * (n-1)! * C(n-1-1/(alpha+1), n-1)``
-    for ``phi(t) = 1/(1-t)^alpha``, with the generalized binomial
-    coefficient expanded as a falling factorial.  Equals
-    ``n! * [z^n]`` of :func:`alpha_family_series`.
-    """
-    alpha = _check_alpha(alpha)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a1 = alpha + 1
-    x = n - 1 - Fraction(1) / a1
-    binom = Fraction(1)
-    for i in range(n - 1):
-        binom *= x - i
-    binom /= factorial(n - 1)
-    return a1 ** (n - 1) * factorial(n - 1) * binom
-
-
-def _check_alpha(alpha: Rational) -> Fraction:
-    alpha = as_rational(alpha)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return alpha

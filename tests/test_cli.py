@@ -357,6 +357,12 @@ class TestInputBounds:
              "too large"),
             (["series", "--model", "sg", "--order", "6", "--phi", "a", "--param", "a=0"],
              "not positive; degenerate family"),
+            (["series", "--model", "sg", "--phi", "1+t^2", "--param", "t=1", "--order", "3"],
+             "cannot bind 't'"),
+            (["rho", "--from-model", "sg", "--phi", "plane", "--param", "exp=1", "--order", "3"],
+             "cannot bind 'exp'"),
+            (["verify", "--phi", "(1+a*t)^2", "--param", "a=1", "--param", "log=2",
+              "--rho", "1", "--max-n", "3"], "cannot bind 'log'"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

@@ -22,7 +22,7 @@ BAD_BUILTINS = ["kary:1", "kary:x", "kary:3/2", "yang:1", "polyalpha:-1", "polya
                 "binary:2", "frob:2"]
 BAD_EXPRESSIONS = ["", "(", "1+", "t^t", "2t", "sin(t)", "1/0", "é", "t^(1/2)", "1/t"]
 BINDINGS = [["a=1/2", "b=2"], ["a=2", "b=-1/3"], ["a=-1", "b=3"]]
-BAD_BINDINGS = [["a=0", "b=1"], ["a=1/0"], ["a"], ["a=x"], ["1=2"], ["a=1", "a=2"], []]
+BAD_BINDINGS = [["a=0", "b=1"], ["a=1/0"], ["a"], ["a=x"], ["1=2"], ["a=1", "a=2"], [], ["t=1"]]
 RHO_SPECS = ["1", "1/n", "n", "1,1/2,1/3,1/4,1/5,1/6", "1,0,2,1,1,1,1", "2,-1,3,1/2,1,7"]
 BAD_RHO_SPECS = ["2,-1", "x", "1,1/0", ""]
 BAD_TREES = ["", "(", ")(", "(()", "(x)", "()()"]

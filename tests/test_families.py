@@ -8,6 +8,8 @@ from hooktrees.errors import DomainError, UnboundParameter, ZeroConstantTerm
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import LEAF, OrderedTree, enumerate_trees, parse_tree
 
+from eager_series import pow_rational
+
 
 class TestBuiltins:
     def test_binary_phi(self):
@@ -31,7 +33,7 @@ class TestBuiltins:
     def test_yang_fractional_exponent(self):
         got = families.yang(Q(2), Q(1, 2)).phi_series(6)
         base = TruncatedSeries([1, 2], order=6)
-        assert got == base.pow_rational(Q(1, 2))
+        assert got == pow_rational(base, Q(1, 2))
 
     def test_yang_one_two_is_binary(self):
         assert families.yang(1, 2).phi_series(16) == families.binary().phi_series(16)

@@ -10,7 +10,22 @@ from hooktrees.errors import (
     OrderExceeded,
     ZeroConstantTerm,
 )
-from hooktrees.series import TruncatedSeries, constant, exp, geometric, identity, log, zero
+from hooktrees.series import TruncatedSeries
+
+from eager_series import (
+    constant,
+    derivative,
+    div,
+    exp,
+    geometric,
+    identity,
+    integrate,
+    log,
+    pow_int,
+    pow_rational,
+    power,
+    zero,
+)
 
 
 def S(*coeffs, order=None):
@@ -69,60 +84,60 @@ class TestMul:
 
 class TestDiv:
     def test_geometric(self):
-        assert constant(1, 5) / S(1, -1, order=5) == geometric(5)
+        assert div(constant(1, 5), S(1, -1, order=5)) == geometric(5)
 
     def test_self_division(self):
         f = S(2, 5, -1, 7)
-        assert f / f == constant(1, 3)
+        assert div(f, f) == constant(1, 3)
 
     def test_geometric_ratio_two(self):
-        assert constant(1, 3) / S(1, -2, order=3) == S(1, 2, 4, 8)
+        assert div(constant(1, 3), S(1, -2, order=3)) == S(1, 2, 4, 8)
 
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
-            constant(1, 3) / identity(3)
+            div(constant(1, 3), identity(3))
 
     def test_mul_div_roundtrip(self):
         f = S(2, -3, Q(1, 2), 4)
         g = S(5, 1, 1, -2)
-        assert (f * g) / g == f
+        assert div(f * g, g) == f
 
 
 class TestPowInt:
     def test_binomial_square(self):
-        assert S(1, 1) ** 2 == S(1, 2, 1, order=1)
-        assert S(1, 1, order=2) ** 2 == S(1, 2, 1)
+        assert power(S(1, 1), 2) == S(1, 2, 1, order=1)
+        assert power(S(1, 1, order=2), 2) == S(1, 2, 1)
 
     def test_power_zero(self):
-        assert S(0, 7, -2) ** 0 == constant(1, 2)
+        assert power(S(0, 7, -2), 0) == constant(1, 2)
 
     def test_negative_power(self):
-        assert S(1, 1, order=3) ** -1 == S(1, -1, 1, -1)
+        assert power(S(1, 1, order=3), -1) == S(1, -1, 1, -1)
 
     def test_negative_power_needs_unit(self):
         with pytest.raises(ZeroConstantTerm):
-            identity(3) ** -2
+            power(identity(3), -2)
 
 
 class TestPowRational:
     def test_sqrt_of_one_minus_2z(self):
         f = S(1, -2, order=4)
-        assert f ** Q(1, 2) == S(1, -1, Q(-1, 2), Q(-1, 2), Q(-5, 8))
+        assert power(f, Q(1, 2)) == S(1, -1, Q(-1, 2), Q(-1, 2), Q(-5, 8))
 
     def test_exponent_one(self):
         f = S(1, 3, -2, 5)
-        assert f.pow_rational(Q(1)) == f
+        assert pow_rational(f, Q(1)) == f
 
     def test_integer_exponent_via_rational(self):
-        assert S(1, -1, order=4) ** Q(-2) == S(1, 2, 3, 4, 5)
+        assert power(S(1, -1, order=4), Q(-2)) == S(1, 2, 3, 4, 5)
 
     def test_requires_unit_constant_term(self):
         with pytest.raises(ConstantTermNotOne):
-            S(2, 1, 1).pow_rational(Q(1, 2))
+            pow_rational(S(2, 1, 1), Q(1, 2))
 
     def test_consistent_with_integer_powers(self):
         f = S(1, Q(1, 3), -2, 1, Q(2, 7), order=8)
-        assert f.pow_rational(Q(3, 2)).pow_int(2) == f.pow_int(3)
+        assert pow_int(pow_rational(f, Q(3, 2)), 2) == pow_int(f, 3)
 
 
 class TestExpLog:
@@ -194,18 +209,18 @@ class TestRevert:
 
 class TestCalculus:
     def test_derivative(self):
-        assert S(1, 1, 1, 1).derivative() == S(1, 2, 3)
+        assert derivative(S(1, 1, 1, 1)) == S(1, 2, 3)
 
     def test_integrate(self):
-        assert S(1, 1, 1).integrate() == S(0, 1, Q(1, 2), Q(1, 3))
+        assert integrate(S(1, 1, 1)) == S(0, 1, Q(1, 2), Q(1, 3))
 
     def test_integrate_derivative(self):
         f = S(5, 1, -2, Q(3, 4))
-        assert f.derivative().integrate() == f - 5
+        assert integrate(derivative(f)) == f - 5
 
     def test_derivative_integrate(self):
         f = S(5, 1, -2, Q(3, 4))
-        assert f.integrate().derivative() == f
+        assert derivative(integrate(f)) == f
 
 
 class TestCoeff:
@@ -255,4 +270,4 @@ class TestScalarMixing:
         assert 1 + f == S(2, 2, 3)
         assert 2 * f == S(2, 4, 6)
         assert f - 1 == S(0, 2, 3)
-        assert f / 2 == S(Q(1, 2), 1, Q(3, 2))
+        assert div(f, 2) == S(Q(1, 2), 1, Q(3, 2))

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 settings.register_profile("series-laws", max_examples=40, deadline=None)
 settings.load_profile("series-laws")
 
-from hooktrees.series import TruncatedSeries, exp, identity, log
+from hooktrees.series import TruncatedSeries
+
+from eager_series import derivative, div, exp, identity, integrate, log, pow_int, pow_rational
 
 ORDER = 16
 
@@ -61,7 +63,7 @@ def test_distributivity(f, g, h):
 
 @given(any_series, unit_series)
 def test_div_inverts_mul(f, g):
-    assert (f * g) / g == f
+    assert div(f * g, g) == f
 
 
 @given(revertible)
@@ -85,14 +87,14 @@ def test_log_exp_roundtrip(g):
     st.integers(min_value=1, max_value=4),
 )
 def test_rational_power_matches_integer_power(f, p, q):
-    assert f.pow_rational(Q(p, q)).pow_int(q) == f.pow_int(p)
+    assert pow_int(pow_rational(f, Q(p, q)), q) == pow_int(f, p)
 
 
 @given(any_series)
 def test_derivative_of_integral(f):
-    assert f.integrate().derivative() == f
+    assert derivative(integrate(f)) == f
 
 
 @given(any_series)
 def test_integral_of_derivative(f):
-    assert f.derivative().integrate() == f - f.coeff(0)
+    assert integrate(derivative(f)) == f - f.coeff(0)
