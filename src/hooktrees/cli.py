@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
@@ -43,7 +42,6 @@ MAX_VERIFY_N = 12
 # takes about 2 s on a 2.0 GHz Xeon core; cost grows about as order^3.
 MAX_ORDER = 300
 
-_BUILTIN_SPEC = re.compile(r"^[a-z]+(:\S*)?$")
 _RESERVED_NAMES = ("t", "exp", "log")
 
 
@@ -93,13 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="hook weight table from a tree counting series")
     p.add_argument("--from-model", choices=("sg", "inc"), dest="from_model",
                    help="take F from the sg or inc solution for phi")
-    p.add_argument("--F", dest="f_expr", metavar="EXPR",
+    p.add_argument("--F", dest="expr", metavar="EXPR",
                    help="take F from an expression in t")
     p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
     add_common(p)
 
     p = sub.add_parser("rho-forest", help="hook weight table from a forest series G = phi(F)")
-    p.add_argument("--G", dest="g_expr", metavar="EXPR", required=True,
+    p.add_argument("--G", dest="expr", metavar="EXPR", required=True,
                    help="the forest series, an expression in t with G(0) = phi_0")
     p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
     add_common(p)
@@ -137,10 +135,12 @@ def _parse_params(items: list[str]) -> dict:
     return binding
 
 
-def _load_family(args) -> tuple[families.DegreeWeightFamily, dict]:
+def _load_family(args) -> tuple[families.DegreeWeightFamily, TruncatedSeries | None]:
     """The preamble of every command with ``--phi``, in a fixed order: parse
-    ``--param``, check the command's own arguments, resolve ``--phi``, then
-    validate the family up to the largest size the command needs."""
+    ``--param``, check the command's own arguments, resolve ``--phi``,
+    validate the family up to the largest size the command needs, then
+    parse ``--F`` or ``--G``, refuse a ``--param`` that no expression
+    reads, and evaluate ``--F`` or ``--G`` (None for other commands)."""
     binding = _parse_params(args.param)
     if args.command == "verify":
         size = args.max_n
@@ -152,13 +152,15 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, dict]:
             raise ValueError("--order must be at least 1")
         if size > MAX_ORDER:
             raise ValueError(f"--order must be at most {MAX_ORDER}")
-        if args.command == "rho" and (args.from_model is None) == (args.f_expr is None):
+        if args.command == "rho" and (args.from_model is None) == (args.expr is None):
             raise ValueError("rho needs exactly one of --from-model and --F")
     text = args.phi.strip()
-    if _BUILTIN_SPEC.match(text) and text.partition(":")[0] in families.BUILTIN_NAMES:
+    if text.partition(":")[0] in families.BUILTIN_NAMES:
         family = families.from_spec(text)
+        read = set()
     else:
         family = families.from_expression(args.phi, binding)
+        read = gfparse.parameters(family.expression)
     report = family.validate(max(size, 2))
     for warning in report.warnings:
         print(f"warning: {family.name}: {warning}", file=sys.stderr)
@@ -167,11 +169,15 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, dict]:
             f"{family.name}: {'; '.join(report.violations)} "
             "(use --allow-degenerate to run anyway)"
         )
-    return family, binding
-
-
-def _evaluate_expression(text: str, binding: dict, order: int) -> TruncatedSeries:
-    return gfparse.evaluate(gfparse.parse(text), binding, order)
+    series_text = getattr(args, "expr", None)  # --F or --G
+    expression = None if series_text is None else gfparse.parse(series_text)
+    if expression is not None:
+        read |= gfparse.parameters(expression)
+    unread = [name for name in binding if name not in read]
+    if unread:
+        raise ValueError(f"no expression reads --param {', '.join(map(repr, unread))}")
+    series = None if expression is None else gfparse.evaluate(expression, binding, args.order)
+    return family, series
 
 
 def _json_object(payload: dict) -> str:
@@ -231,21 +237,18 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    family, binding = _load_family(args)
+    family, F = _load_family(args)
     if args.from_model == "sg":
         F = hookcalc.solve_simply_generated(family, args.order)
     elif args.from_model == "inc":
         F = hookcalc.solve_increasing(family, args.order)
-    else:
-        F = _evaluate_expression(args.f_expr, binding, args.order)
     rho = hookcalc.rho_from_series(F, family, args.order)
     _emit_rho(args, rho)
     return EXIT_OK
 
 
 def _cmd_rho_forest(args) -> int:
-    family, binding = _load_family(args)
-    G = _evaluate_expression(args.g_expr, binding, args.order)
+    family, G = _load_family(args)
     rho = hookcalc.rho_from_forest(G, family, args.order)
     _emit_rho(args, rho)
     return EXIT_OK

@@ -4,10 +4,13 @@ A family assigns the multiplicative weight ``phi_k`` to every vertex of
 out-degree ``k``; the weight of an ordered tree is the product over its
 vertices.  The family is described by its generating function
 ``phi(t) = sum_k phi_k t^k``, held as a :mod:`gfparse` expression with
-its parameter binding.  The builtins are expressions too: ``binary`` is
-``(1+t)^2``, ``kary:k`` is ``(1+t)^k``, ``plane`` is ``1/(1-t)``,
-``labelled`` is ``exp(t)``, ``yang:s,m`` is ``(1+s*t)^m`` and
-``polyalpha:a`` is ``(1-t)^(-a)``.
+its parameter binding.  The builtins are one table of expressions,
+named by spec strings (:func:`from_spec`): ``binary`` is ``(1+t)^2``,
+``kary:k`` is ``(1+t)^k``, ``plane`` is ``1/(1-t)``, ``labelled`` is
+``exp(t)``, ``yang:s,m`` is ``(1+s*t)^m`` and ``polyalpha:a`` is
+``(1-t)^(-a)``.  These are the increasing-tree classes (1+st)^m,
+1/(1-t)^a and exp(t) of Panholzer and Prodinger, "Level of nodes in
+increasing trees revisited", Random Structures Algorithms 31, 2007.
 
 The standing assumptions (``phi_0 > 0`` and some ``phi_k > 0`` with
 ``k >= 2``) are checked by :meth:`DegreeWeightFamily.validate` but not
@@ -22,18 +25,12 @@ from fractions import Fraction
 from . import gfparse
 from ._record import Record
 from .errors import DomainError
-from .rational import Rational, as_rational, rational_from_string, rational_to_string
+from .rational import rational_from_string, rational_to_string
 from .series import TruncatedSeries
 
 __all__ = [
     "DegreeWeightFamily",
     "ValidationReport",
-    "binary",
-    "kary",
-    "plane",
-    "labelled",
-    "yang",
-    "polyalpha",
     "from_expression",
     "from_spec",
     "BUILTIN_NAMES",
@@ -135,105 +132,57 @@ class ValidationReport(Record):
 
 # --- builtins -----------------------------------------------------------------
 
-def binary() -> DegreeWeightFamily:
-    """``phi(t) = (1+t)^2``: vertices have 0, 1 or 2 children, a single
-    child carrying weight 2 for the left/right choice."""
-    return from_expression("(1+t)^2", name="binary")
-
-
-def kary(k: int) -> DegreeWeightFamily:
-    """``phi(t) = (1+t)^k`` for an integer ``k >= 2``."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError("kary requires an integer arity")
-    if k < 2:
-        raise DomainError(f"kary requires k >= 2, got {rational_to_string(k)}")
-    return from_expression(
-        "(1+t)^k", {"k": Fraction(k)}, name=f"kary:{rational_to_string(k)}"
-    )
-
-
-def plane() -> DegreeWeightFamily:
-    """``phi(t) = 1/(1-t)``: every out-degree has weight 1."""
-    return from_expression("1/(1-t)", name="plane")
-
-
-def labelled() -> DegreeWeightFamily:
-    """``phi(t) = e^t``: out-degree ``k`` weighs ``1/k!``."""
-    return from_expression("exp(t)", name="labelled")
-
-
-def yang(s: Rational, m: Rational) -> DegreeWeightFamily:
-    """``phi(t) = (1 + s*t)^m`` for rational ``s`` and ``m``."""
-    s = as_rational(s)
-    m = as_rational(m)
-    return from_expression(
-        "(1+s*t)^m",
-        {"s": s, "m": m},
-        name=f"yang:{rational_to_string(s)},{rational_to_string(m)}",
-    )
-
-
-def polyalpha(alpha: Rational) -> DegreeWeightFamily:
-    """``phi(t) = 1/(1-t)^alpha`` for rational ``alpha > 0``."""
-    alpha = as_rational(alpha)
-    if alpha <= 0:
-        raise DomainError(
-            f"polyalpha requires alpha > 0, got {rational_to_string(alpha)}"
-        )
-    return from_expression(
-        "(1-t)^(-a)", {"a": alpha}, name=f"polyalpha:{rational_to_string(alpha)}"
-    )
+# name -> (phi(t), the parameters that the spec's arguments bind, in order)
+_BUILTINS = {
+    "binary": ("(1+t)^2", ()),
+    "kary": ("(1+t)^k", ("k",)),
+    "plane": ("1/(1-t)", ()),
+    "labelled": ("exp(t)", ()),
+    "yang": ("(1+s*t)^m", ("s", "m")),
+    "polyalpha": ("(1-t)^(-a)", ("a",)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def from_expression(
-    text_or_ast, binding: gfparse.ParamBinding | None = None, name: str | None = None
+    text: str, binding: gfparse.ParamBinding | None = None, name: str | None = None
 ) -> DegreeWeightFamily:
-    """Family whose phi-series comes from a parsed expression."""
-    ast = gfparse.parse(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
-    label = name if name is not None else (
-        text_or_ast if isinstance(text_or_ast, str) else "<expression>"
+    """Family whose phi-series is the expression ``text``; ``name``
+    defaults to the text."""
+    return DegreeWeightFamily(
+        text if name is None else name, gfparse.parse(text), binding or {}
     )
-    return DegreeWeightFamily(label, ast, binding or {})
-
-
-BUILTIN_NAMES = ("binary", "kary", "plane", "labelled", "yang", "polyalpha")
 
 
 def from_spec(text: str) -> DegreeWeightFamily:
     """Builtin family from its CLI string.
 
     Formats: ``binary``, ``plane``, ``labelled``, ``kary:3``,
-    ``yang:1/2,4``, ``polyalpha:2``.
+    ``yang:1/2,4``, ``polyalpha:2``.  The arguments bind the builtin's
+    parameters; ``kary:k`` needs an integer ``k >= 2`` and
+    ``polyalpha:a`` needs ``a > 0``.
     """
     name, _, argtext = text.partition(":")
     name = name.strip()
-    if name not in BUILTIN_NAMES:
+    if name not in _BUILTINS:
         raise DomainError(f"unknown builtin family {name!r}")
+    expression, params = _BUILTINS[name]
     args = [a.strip() for a in argtext.split(",")] if argtext else []
-    if name == "binary":
-        _expect_args(text, args, 0)
-        return binary()
-    if name == "plane":
-        _expect_args(text, args, 0)
-        return plane()
-    if name == "labelled":
-        _expect_args(text, args, 0)
-        return labelled()
-    if name == "kary":
-        _expect_args(text, args, 1)
-        value = rational_from_string(args[0])
-        if value.denominator != 1:
-            raise DomainError(f"kary arity must be an integer, got {args[0]}")
-        return kary(value.numerator)
-    if name == "yang":
-        _expect_args(text, args, 2)
-        return yang(rational_from_string(args[0]), rational_from_string(args[1]))
-    _expect_args(text, args, 1)
-    return polyalpha(rational_from_string(args[0]))
-
-
-def _expect_args(text: str, args: list[str], count: int) -> None:
-    if len(args) != count:
+    if len(args) != len(params):
         raise DomainError(
-            f"family spec {text!r} takes {count} parameter(s), got {len(args)}"
+            f"family spec {text!r} takes {len(params)} parameter(s), got {len(args)}"
         )
+    values = [rational_from_string(a) for a in args]
+    if name == "kary":
+        if values[0].denominator != 1:
+            raise DomainError(f"kary arity must be an integer, got {args[0]}")
+        if values[0] < 2:
+            raise DomainError(f"kary requires k >= 2, got {rational_to_string(values[0])}")
+    if name == "polyalpha" and values[0] <= 0:
+        raise DomainError(
+            f"polyalpha requires alpha > 0, got {rational_to_string(values[0])}"
+        )
+    canonical = ",".join(rational_to_string(v) for v in values)
+    return from_expression(
+        expression, dict(zip(params, values)), name=f"{name}:{canonical}" if args else name
+    )

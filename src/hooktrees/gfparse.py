@@ -78,6 +78,7 @@ __all__ = [
     "MAX_EXPONENT_BITS",
     "OnlineSeries",
     "parse",
+    "parameters",
     "evaluate",
 ]
 
@@ -342,6 +343,14 @@ class _Parser:
 def parse(text: str) -> GfExpr:
     """Parse expression text into an AST; raises :class:`ParseError`."""
     return _Parser(text).parse()
+
+
+def parameters(expr: GfExpr) -> set[str]:
+    """The names of the parameters that ``expr`` reads."""
+    if isinstance(expr, Parameter):
+        return {expr.name}
+    children = (getattr(expr, f) for f in expr._fields)
+    return set().union(*(parameters(c) for c in children if isinstance(c, GfExpr)))
 
 
 # --- constants -------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hooktrees.hookcalc import (
     solve_increasing,
     solve_simply_generated,
 )
+from hooktrees.rational import rational_to_string
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import (
     enumerate_trees,
@@ -47,12 +48,12 @@ SEED = 20240811
 
 def family_grid():
     return [
-        families.binary(),
-        families.kary(3),
-        families.plane(),
-        families.labelled(),
-        families.yang(Q(1, 2), Q(3)),
-        families.polyalpha(Q(2)),
+        families.from_spec("binary"),
+        families.from_spec("kary:3"),
+        families.from_spec("plane"),
+        families.from_spec("labelled"),
+        families.from_spec("yang:1/2,3"),
+        families.from_spec("polyalpha:2"),
     ]
 
 
@@ -100,7 +101,7 @@ def test_c2_rho_roundtrip_at_order_16():
 
 def test_c3_binary_special_case_matches_general_form():
     rng = random.Random(SEED + 3)
-    fam = families.binary()
+    fam = families.from_spec("binary")
     for _ in range(20):
         F = random_tree_series(rng, 20)
         assert binary_rho(F, 20) == rho_from_series(F, fam, 20)
@@ -110,18 +111,19 @@ def test_c3_binary_special_case_matches_general_form():
 def test_c4_alpha_family_closed_forms():
     for alpha in (Q(1), Q(2), Q(3), Q(1, 2)):
         closed = alpha_family_series(alpha, 15)
-        solved = solve_increasing(families.polyalpha(alpha), 15)
+        family = families.from_spec(f"polyalpha:{rational_to_string(alpha)}")
+        solved = solve_increasing(family, 15)
         assert closed == solved, alpha
         for n in range(1, 16):
             assert alpha_family_count(alpha, n) == factorial(n) * closed.coeff(n)
-        rho = rho_from_series(closed, families.polyalpha(alpha), 15)
+        rho = rho_from_series(closed, family, 15)
         assert rho == HookWeightFunction.named("1/n", 15), alpha
     report("4 alpha family: ODE = closed form, counts match, rho = 1/n")
 
 
 def test_c5_forest_form_consistency():
     rng = random.Random(SEED + 5)
-    for fam in (families.plane(), families.labelled()):
+    for fam in (families.from_spec("plane"), families.from_spec("labelled")):
         phi = fam.phi_series(15)
         for _ in range(20):
             F = random_tree_series(rng, 15)
@@ -129,12 +131,12 @@ def test_c5_forest_form_consistency():
             assert rho_from_forest(G, fam, 15) == rho_from_series(F, fam, 15)
 
     # the two textbook inverses, confirmed by composition
-    plane_phi = families.plane().phi_series(15)
+    plane_phi = families.from_spec("plane").phi_series(15)
     H = (plane_phi - 1).revert()
     assert H == div(identity(15), identity(15) + 1)  # the 1 - 1/t expansion at 1+u
     assert plane_phi.compose(H) == identity(15) + 1
 
-    labelled_phi = families.labelled().phi_series(15)
+    labelled_phi = families.from_spec("labelled").phi_series(15)
     L = (labelled_phi - 1).revert()
     assert L == log(identity(15) + 1)
     assert exp(L) == identity(15) + 1
@@ -142,21 +144,21 @@ def test_c5_forest_form_consistency():
 
 
 def test_c6_classic_sequences():
-    assert solve_simply_generated(families.binary(), 7).coefficients == (
+    assert solve_simply_generated(families.from_spec("binary"), 7).coefficients == (
         0, 1, 2, 5, 14, 42, 132, 429,
     )
 
-    binary_counts = egf_counts(solve_increasing(families.binary(), 10))
+    binary_counts = egf_counts(solve_increasing(families.from_spec("binary"), 10))
     assert binary_counts[1:] == [factorial(n) for n in range(1, 11)]
 
-    plane_counts = egf_counts(solve_increasing(families.plane(), 10))
+    plane_counts = egf_counts(solve_increasing(families.from_spec("plane"), 10))
     double_factorials = [
         Q(1) if n == 1 else Q(1) * _double_factorial(2 * n - 3)
         for n in range(1, 11)
     ]
     assert plane_counts[1:] == double_factorials
 
-    labelled_counts = egf_counts(solve_increasing(families.labelled(), 10))
+    labelled_counts = egf_counts(solve_increasing(families.from_spec("labelled"), 10))
     assert labelled_counts[1:] == [factorial(n - 1) for n in range(1, 11)]
     report("6 classic sequences: Catalan, n!, (2n-3)!!, (n-1)!")
 
@@ -214,12 +216,12 @@ def test_c8_series_engine_roundtrips():
 
 def test_c9_parser_matches_hand_built_families_and_never_crashes():
     cases = [
-        ("(1+t)^2", {}, families.binary()),
-        ("(1+t)^k", {"k": Q(3)}, families.kary(3)),
-        ("1/(1-t)", {}, families.plane()),
-        ("exp(t)", {}, families.labelled()),
-        ("(1+s*t)^m", {"s": Q(1, 2), "m": Q(3)}, families.yang(Q(1, 2), Q(3))),
-        ("1/(1-t)^a", {"a": Q(2)}, families.polyalpha(Q(2))),
+        ("(1+t)^2", {}, families.from_spec("binary")),
+        ("(1+t)^k", {"k": Q(3)}, families.from_spec("kary:3")),
+        ("1/(1-t)", {}, families.from_spec("plane")),
+        ("exp(t)", {}, families.from_spec("labelled")),
+        ("(1+s*t)^m", {"s": Q(1, 2), "m": Q(3)}, families.from_spec("yang:1/2,3")),
+        ("1/(1-t)^a", {"a": Q(2)}, families.from_spec("polyalpha:2")),
     ]
     for text, binding, fam in cases:
         got = gfparse.evaluate(gfparse.parse(text), binding, 20)

@@ -61,7 +61,12 @@ CATALOGUE = {
     "han": ("binary", lambda h: Q(1, h * 2 ** (h - 1)), lambda n: Q(1, factorial(n))),
     "increasing-binary": ("binary", lambda h: Q(1, h), lambda n: Q(1)),
     "yang:1/2,3": ("yang:1/2,3", *one_plus_st_to_the_m(Q(1, 2), Q(3))),
+    "yang:2,5/2": ("yang:2,5/2", *one_plus_st_to_the_m(Q(2), Q(5, 2))),
+    "yang:1/3,-1/2": ("yang:1/3,-1/2", *one_plus_st_to_the_m(Q(1, 3), Q(-1, 2))),
     "kary:3": ("kary:3", *one_plus_st_to_the_m(Q(1), Q(3))),
+    "kary:4": ("kary:4", *one_plus_st_to_the_m(Q(1), Q(4))),
+    "polyalpha:1": ("polyalpha:1", *one_plus_st_to_the_m(Q(-1), Q(-1))),
+    "polyalpha:1/2": ("polyalpha:1/2", *one_plus_st_to_the_m(Q(-1), Q(-1, 2))),
     "polyalpha:2": ("polyalpha:2", *one_plus_st_to_the_m(Q(-1), Q(-2))),
     "labelled": (
         "labelled",

@@ -70,6 +70,13 @@ class TestSeriesCommand:
         assert code == 0
         assert out == "n,coefficient\n0,0\n1,1\n2,1\n"
 
+    def test_builtin_spec_may_space_its_arguments(self, capsys):
+        spaced = run_cli(capsys, "series", "--model", "sg", "--phi", "kary: 3", "--order", "3")
+        assert spaced == (0, "coefficients 0 1 3 12\n", "")
+        assert spaced == run_cli(
+            capsys, "series", "--model", "sg", "--phi", "kary:3", "--order", "3"
+        )
+
     def test_bad_order(self, capsys):
         code, _, err = run_cli(
             capsys, "series", "--model", "sg", "--phi", "binary", "--order", "0"
@@ -147,6 +154,13 @@ class TestRhoForestCommand:
         )
         assert code == 0
         assert out == "1 1/2 1/3 1/4\n"
+
+    def test_param_read_by_the_forest_series_only(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rho-forest", "--phi", "labelled", "--G", "exp(a*t)",
+            "--param", "a=1", "--order", "3",
+        )
+        assert (code, out, err) == (0, "1 0 0\n", "")
 
     def test_constant_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -363,6 +377,12 @@ class TestInputBounds:
              "cannot bind 'exp'"),
             (["verify", "--phi", "(1+a*t)^2", "--param", "a=1", "--param", "log=2",
               "--rho", "1", "--max-n", "3"], "cannot bind 'log'"),
+            (["series", "--model", "sg", "--phi", "binary", "--param", "q=1", "--order", "3"],
+             "no expression reads --param 'q'"),
+            (["series", "--model", "sg", "--phi", "kary:3", "--param", "k=3", "--order", "3"],
+             "no expression reads --param 'k'"),
+            (["series", "--model", "sg", "--phi", "1+a*t^2", "--param", "a=1",
+              "--param", "b=5", "--order", "3"], "no expression reads --param 'b'\n"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

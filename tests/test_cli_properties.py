@@ -9,10 +9,11 @@ small sizes so the test stays fast.
 
 import contextlib
 import io
+import re
 
 from hypothesis import given, settings, strategies as st
 
-from hooktrees import cli
+from hooktrees import cli, families
 
 BUILTINS = {  # spec: the same family as an expression
     "binary": "(1+t)^2", "plane": "1/(1-t)", "labelled": "exp(t)", "kary:3": "(1+t)^3",
@@ -75,7 +76,6 @@ def argvs(draw):
         phi = maybe(good_phis, bad_phis)
         argv.append("--phi=" + phi)
         binding = maybe(st.sampled_from(BINDINGS), st.sampled_from(BAD_BINDINGS))
-        argv += ["--param=" + p for p in binding]
         if draw(st.booleans()):
             argv.append("--allow-degenerate")
     if command == "verify":
@@ -93,8 +93,21 @@ def argvs(draw):
         # G = phi + t*X has G(0) = phi_0 whenever X(0) exists
         G = expressions.map(lambda e: f"({BUILTINS.get(phi, phi)})+t*({e})")
         argv.append("--G=" + maybe(G, bad_expressions))
+    if command != "labellings":
+        if binding in BINDINGS:  # a good binding binds only the names read
+            read = set().union(*(reads(a.partition("=")[2]) for a in argv
+                                 if a.startswith(("--phi=", "--F=", "--G="))))
+            binding = [p for p in binding if p.partition("=")[0] in read]
+        argv += ["--param=" + p for p in binding]
     argv += draw(st.sampled_from([[], ["--output=plain"], ["--output=json"], ["--output=csv"]]))
     return argv
+
+
+def reads(text):
+    """The parameter names an argument text reads; a builtin spec reads none."""
+    if text.partition(":")[0] in families.BUILTIN_NAMES:
+        return set()
+    return set(re.findall(r"[A-Za-z_]\w*", text)) - {"t", "exp", "log"}
 
 
 def run(argv):

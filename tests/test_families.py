@@ -13,46 +13,46 @@ from eager_series import pow_rational
 
 class TestBuiltins:
     def test_binary_phi(self):
-        assert families.binary().phi_series(2) == TruncatedSeries([1, 2, 1])
+        assert families.from_spec("binary").phi_series(2) == TruncatedSeries([1, 2, 1])
 
     def test_plane_phi(self):
-        assert families.plane().phi_series(5).coefficients == (1,) * 6
+        assert families.from_spec("plane").phi_series(5).coefficients == (1,) * 6
 
     def test_polyalpha_one_equals_plane(self):
-        assert families.polyalpha(1).phi_series(12) == families.plane().phi_series(12)
+        plane = families.from_spec("plane")
+        assert families.from_spec("polyalpha:1").phi_series(12) == plane.phi_series(12)
 
     def test_labelled_phi(self):
-        got = families.labelled().phi_series(4)
+        got = families.from_spec("labelled").phi_series(4)
         assert got == TruncatedSeries([1, 1, Q(1, 2), Q(1, 6), Q(1, 24)])
 
     def test_yang_general(self):
-        got = families.yang(Q(1, 2), Q(4)).phi_series(4)
+        got = families.from_spec("yang:1/2,4").phi_series(4)
         expected = [comb(4, k) * Q(1, 2) ** k for k in range(5)]
         assert list(got.coefficients) == expected
 
     def test_yang_fractional_exponent(self):
-        got = families.yang(Q(2), Q(1, 2)).phi_series(6)
+        got = families.from_spec("yang:2,1/2").phi_series(6)
         base = TruncatedSeries([1, 2], order=6)
         assert got == pow_rational(base, Q(1, 2))
 
     def test_yang_one_two_is_binary(self):
-        assert families.yang(1, 2).phi_series(16) == families.binary().phi_series(16)
+        binary = families.from_spec("binary")
+        assert families.from_spec("yang:1,2").phi_series(16) == binary.phi_series(16)
 
     def test_kary_domain(self):
         with pytest.raises(DomainError):
-            families.kary(1)
-        with pytest.raises(DomainError):
-            families.kary("3")
+            families.from_spec("kary:1")
 
     def test_polyalpha_domain(self):
         with pytest.raises(DomainError):
-            families.polyalpha(0)
+            families.from_spec("polyalpha:0")
         with pytest.raises(DomainError):
-            families.polyalpha(Q(-1, 2))
+            families.from_spec("polyalpha:-1/2")
 
     def test_kary_coefficient_sum_is_power_of_two(self):
         for k in range(2, 9):
-            coeffs = families.kary(k).phi_series(k).coefficients
+            coeffs = families.from_spec(f"kary:{k}").phi_series(k).coefficients
             assert sum(coeffs) == 2 ** k
 
 
@@ -93,11 +93,11 @@ class TestFromExpression:
         assert fam.phi_series(4) == TruncatedSeries([1, 4, 6, 4, 1])
 
     def test_builtins_are_expressions(self):
-        assert families.binary().expression == gfparse.parse("(1+t)^2")
-        fam = families.yang(Q(1, 2), Q(3, 2))
+        assert families.from_spec("binary").expression == gfparse.parse("(1+t)^2")
+        fam = families.from_spec("yang:1/2,3/2")
         assert fam.expression == gfparse.parse("(1+s*t)^m")
         assert fam.binding == {"s": Q(1, 2), "m": Q(3, 2)}
-        assert families.polyalpha(Q(3)).expression == gfparse.parse("(1-t)^(-a)")
+        assert families.from_spec("polyalpha:3").expression == gfparse.parse("(1-t)^(-a)")
 
     def test_errors_surface_on_construction(self):
         with pytest.raises(ZeroConstantTerm):
@@ -106,7 +106,7 @@ class TestFromExpression:
             families.from_expression("(1+t)^k")
 
     def test_cache_extends(self):
-        fam = families.plane()
+        fam = families.from_spec("plane")
         assert fam.phi_series(3).order == 3
         assert fam.phi_series(30).order == 30
         assert fam.phi_series(5).order == 5
@@ -114,7 +114,7 @@ class TestFromExpression:
 
 class TestValidation:
     def test_binary_ok(self):
-        report = families.binary().validate(8)
+        report = families.from_spec("binary").validate(8)
         assert report.ok and not report.degenerate and not report.warnings
 
     def test_linear_phi_degenerate(self):
@@ -135,7 +135,7 @@ class TestValidation:
         ]
 
     def test_negative_weight_warning_counts_and_stays_short(self):
-        fam = families.yang(Q(1, 2), Q(3, 2))
+        fam = families.from_spec("yang:1/2,3/2")
         report = fam.validate(300)
         negatives = [k for k, c in enumerate(fam.phi_series(300).coefficients) if c < 0]
         assert report.ok and len(negatives) > 100
@@ -148,35 +148,35 @@ class TestValidation:
 
 class TestWeights:
     def test_weight_of_degree_labelled(self):
-        assert families.labelled().weight_of_degree(3) == Q(1, 6)
+        assert families.from_spec("labelled").weight_of_degree(3) == Q(1, 6)
 
     def test_weight_of_degree_kary(self):
-        assert families.kary(3).weight_of_degree(2) == 3
+        assert families.from_spec("kary:3").weight_of_degree(2) == 3
 
     def test_weight_of_degree_yang(self):
-        assert families.yang(Q(1, 2), 4).weight_of_degree(1) == 2
+        assert families.from_spec("yang:1/2,4").weight_of_degree(1) == 2
 
     def test_weight_beyond_support_is_zero(self):
-        assert families.binary().weight_of_degree(40) == 0
+        assert families.from_spec("binary").weight_of_degree(40) == 0
 
     def test_single_node(self):
-        assert families.binary().tree_weight_deg(LEAF) == 1
+        assert families.from_spec("binary").tree_weight_deg(LEAF) == 1
 
     def test_cherry_under_binary(self):
         cherry = OrderedTree((LEAF, LEAF))
-        assert families.binary().tree_weight_deg(cherry) == 1
+        assert families.from_spec("binary").tree_weight_deg(cherry) == 1
 
     def test_path_under_plane(self):
         path = parse_tree("((()))")
-        assert families.plane().tree_weight_deg(path) == 1
+        assert families.from_spec("plane").tree_weight_deg(path) == 1
 
     def test_unary_chain_under_binary(self):
         path = parse_tree("((()))")
         # two vertices of out-degree 1, each weighing 2
-        assert families.binary().tree_weight_deg(path) == 4
+        assert families.from_spec("binary").tree_weight_deg(path) == 4
 
     def test_multiplicative_over_root_decomposition(self):
-        fam = families.yang(Q(1, 2), Q(3))
+        fam = families.from_spec("yang:1/2,3")
         for n in range(1, 9):
             for tree in enumerate_trees(n):
                 expected = fam.weight_of_degree(len(tree.children))

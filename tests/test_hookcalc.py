@@ -22,6 +22,7 @@ from hooktrees.hookcalc import (
     solve_increasing,
     solve_simply_generated,
 )
+from hooktrees.rational import rational_to_string
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import enumerate_trees, labellings_recursive
 
@@ -51,12 +52,12 @@ def random_tree_series(rng, order, positive=False):
 
 
 ALL_FAMILIES = [
-    families.binary,
-    lambda: families.kary(3),
-    families.plane,
-    families.labelled,
-    lambda: families.yang(Q(1, 2), Q(3)),
-    lambda: families.polyalpha(Q(2)),
+    lambda: families.from_spec("binary"),
+    lambda: families.from_spec("kary:3"),
+    lambda: families.from_spec("plane"),
+    lambda: families.from_spec("labelled"),
+    lambda: families.from_spec("yang:1/2,3"),
+    lambda: families.from_spec("polyalpha:2"),
 ]
 
 # Every builtin spelling, plus parsed expressions that exercise the rest of
@@ -64,14 +65,14 @@ ALL_FAMILIES = [
 # power of a series whose constant term is not 1, integer powers of series
 # with constant term 0 (valuation 1 and 2), and a negative power.
 REFERENCE_FAMILIES = [
-    families.binary,
-    lambda: families.kary(4),
-    families.plane,
-    families.labelled,
-    lambda: families.yang(Q(1, 2), Q(3)),
-    lambda: families.yang(Q(-2, 3), Q(3, 2)),
-    lambda: families.polyalpha(Q(1, 2)),
-    lambda: families.polyalpha(Q(2)),
+    pytest.param(lambda: families.from_spec("binary"), id="binary"),
+    lambda: families.from_spec("kary:4"),
+    pytest.param(lambda: families.from_spec("plane"), id="plane"),
+    pytest.param(lambda: families.from_spec("labelled"), id="labelled"),
+    lambda: families.from_spec("yang:1/2,3"),
+    lambda: families.from_spec("yang:-2/3,3/2"),
+    lambda: families.from_spec("polyalpha:1/2"),
+    lambda: families.from_spec("polyalpha:2"),
     lambda: families.from_expression("(2+t^2)/(2-t-t^3)"),
     lambda: families.from_expression("1-log(1-t)*3/2"),
     lambda: families.from_expression("(4+t)^(1/2)"),
@@ -203,17 +204,17 @@ class TestHookWeightFunction:
 
 class TestSimplyGenerated:
     def test_binary_counts_trees(self):
-        got = solve_simply_generated(families.binary(), 7)
+        got = solve_simply_generated(families.from_spec("binary"), 7)
         # independent check: weighted enumeration, then the Catalan formula
         rho_one = HookWeightFunction.named("1", 7)
         from hooktrees.treeoracle import weighted_sum
 
         for n in range(1, 8):
-            assert got.coeff(n) == weighted_sum(n, families.binary(), rho_one)
+            assert got.coeff(n) == weighted_sum(n, families.from_spec("binary"), rho_one)
             assert got.coeff(n) == catalan(n)
 
     def test_plane_counts_trees(self):
-        got = solve_simply_generated(families.plane(), 6)
+        got = solve_simply_generated(families.from_spec("plane"), 6)
         for n in range(1, 7):
             assert got.coeff(n) == sum(1 for _ in enumerate_trees(n))
 
@@ -232,8 +233,8 @@ class TestSimplyGenerated:
 
 class TestIncreasing:
     def test_binary_counts_increasing_labellings(self):
-        got = solve_increasing(families.binary(), 7)
-        fam = families.binary()
+        got = solve_increasing(families.from_spec("binary"), 7)
+        fam = families.from_spec("binary")
         # independent: sum of degree weight times labelling count, per size
         for n in range(1, 8):
             total = sum(
@@ -245,12 +246,12 @@ class TestIncreasing:
             assert got.coeff(n) * factorial(n) == factorial(n)
 
     def test_plane_closed_form(self):
-        got = solve_increasing(families.plane(), 10)
+        got = solve_increasing(families.from_spec("plane"), 10)
         closed = 1 - pow_rational(TruncatedSeries([1, -2], order=10), Q(1, 2))
         assert got == closed
 
     def test_labelled_closed_form(self):
-        got = solve_increasing(families.labelled(), 10)
+        got = solve_increasing(families.from_spec("labelled"), 10)
         assert got == log(geometric(10))
 
     def test_ode_residual_vanishes(self):
@@ -261,64 +262,65 @@ class TestIncreasing:
             assert residual.coefficients == (0,) * 10
 
     def test_egf_counts(self):
-        T = solve_increasing(families.plane(), 5)
+        T = solve_increasing(families.from_spec("plane"), 5)
         assert egf_counts(T) == [0, 1, 1, 3, 15, 105]
 
 
 class TestRhoFromSeries:
     def test_catalan_under_binary_gives_all_ones(self):
-        F = solve_simply_generated(families.binary(), 10)
-        rho = rho_from_series(F, families.binary(), 10)
+        F = solve_simply_generated(families.from_spec("binary"), 10)
+        rho = rho_from_series(F, families.from_spec("binary"), 10)
         assert rho.values == (1,) * 10
 
     def test_alpha_closed_form_gives_inverse_hooks(self):
         for alpha in (Q(1), Q(2), Q(3), Q(1, 2)):
             F = alpha_family_series(alpha, 12)
-            rho = rho_from_series(F, families.polyalpha(alpha), 12)
+            family = families.from_spec(f"polyalpha:{rational_to_string(alpha)}")
+            rho = rho_from_series(F, family, 12)
             assert rho == HookWeightFunction.named("1/n", 12)
 
     def test_log_geometric_under_labelled(self):
-        rho = rho_from_series(log(geometric(10)), families.labelled(), 10)
+        rho = rho_from_series(log(geometric(10)), families.from_spec("labelled"), 10)
         assert rho == HookWeightFunction.named("1/n", 10)
 
     def test_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            rho_from_series(geometric(5), families.binary(), 5)
+            rho_from_series(geometric(5), families.from_spec("binary"), 5)
 
     def test_requires_enough_order(self):
         F = TruncatedSeries([0, 1, 1])
         with pytest.raises(OrderExceeded):
-            rho_from_series(F, families.binary(), 5)
+            rho_from_series(F, families.from_spec("binary"), 5)
 
     def test_denominator_vanishes_with_index(self):
         # (1+F)^2 has [z^2] = 2*F_2 + F_1^2 = 0 for F = z - z^2/2...
         F = TruncatedSeries([0, 2, -2, 1, 1])
         with pytest.raises(DenominatorVanishes) as info:
-            rho_from_series(F, families.binary(), 4)
+            rho_from_series(F, families.from_spec("binary"), 4)
         assert info.value.index == 3
 
 
 class TestSeriesFromRho:
     def test_all_ones_matches_fixed_point(self):
         got = series_from_rho(
-            HookWeightFunction.named("1", 8), families.binary(), 8
+            HookWeightFunction.named("1", 8), families.from_spec("binary"), 8
         )
-        assert got == solve_simply_generated(families.binary(), 8)
+        assert got == solve_simply_generated(families.from_spec("binary"), 8)
 
     def test_inverse_hooks_match_ode(self):
         got = series_from_rho(
-            HookWeightFunction.named("1/n", 8), families.binary(), 8
+            HookWeightFunction.named("1/n", 8), families.from_spec("binary"), 8
         )
-        assert got == solve_increasing(families.binary(), 8)
+        assert got == solve_increasing(families.from_spec("binary"), 8)
         assert got.coefficients == (0, 1, 1, 1, 1, 1, 1, 1, 1)
 
     def test_zero_rho_gives_zero_series(self):
         rho = HookWeightFunction((Q(0),) * 6)
-        got = series_from_rho(rho, families.plane(), 6)
+        got = series_from_rho(rho, families.from_spec("plane"), 6)
         assert got.coefficients == (0,) * 7
 
     def test_first_coefficient_is_phi0_rho1(self):
-        fam = families.yang(Q(1, 3), Q(5, 2))
+        fam = families.from_spec("yang:1/3,5/2")
         rho = HookWeightFunction((Q(7, 2), Q(1)))
         got = series_from_rho(rho, fam, 2)
         assert got.coeff(1) == fam.weight_of_degree(0) * Q(7, 2)
@@ -347,12 +349,12 @@ class TestBinaryRho:
         assert binary_rho(F, 10) == HookWeightFunction.named("1/n", 10)
 
     def test_catalan_gives_all_ones(self):
-        F = solve_simply_generated(families.binary(), 10)
+        F = solve_simply_generated(families.from_spec("binary"), 10)
         assert binary_rho(F, 10).values == (1,) * 10
 
     def test_specializes_rho_from_series(self):
         rng = random.Random(271828)
-        fam = families.binary()
+        fam = families.from_spec("binary")
         for _ in range(10):
             F = random_tree_series(rng, 20, positive=True)
             assert binary_rho(F, 20) == rho_from_series(F, fam, 20)
@@ -366,19 +368,19 @@ class TestBinaryRho:
 
 class TestRhoFromForest:
     def test_plane_inverse_recovers_all_ones(self):
-        F = solve_simply_generated(families.plane(), 10)
+        F = solve_simply_generated(families.from_spec("plane"), 10)
         G = geometric(10).compose(F)  # 1/(1-F)
-        rho = rho_from_forest(G, families.plane(), 10)
+        rho = rho_from_forest(G, families.from_spec("plane"), 10)
         assert rho.values == (1,) * 10
 
     def test_labelled_log_inverse(self):
-        rho = rho_from_forest(geometric(10), families.labelled(), 10)
+        rho = rho_from_forest(geometric(10), families.from_spec("labelled"), 10)
         assert rho == HookWeightFunction.named("1/n", 10)
 
     def test_agrees_with_tree_form(self):
         rng = random.Random(31337)
-        for make in (families.plane, families.labelled):
-            fam = make()
+        for spec in ("plane", "labelled"):
+            fam = families.from_spec(spec)
             phi = fam.phi_series(15)
             for _ in range(10):
                 F = random_tree_series(rng, 15, positive=True)
@@ -387,7 +389,7 @@ class TestRhoFromForest:
 
     def test_constant_mismatch(self):
         with pytest.raises(ConstantMismatch):
-            rho_from_forest(identity(5) + 2, families.plane(), 5)
+            rho_from_forest(identity(5) + 2, families.from_spec("plane"), 5)
 
     def test_not_invertible_without_linear_term(self):
         fam = families.from_expression("1+t^2")
@@ -395,7 +397,7 @@ class TestRhoFromForest:
             rho_from_forest(identity(5) + 1, fam, 5)
 
     def test_denominator_vanishes(self):
-        fam = families.plane()
+        fam = families.from_spec("plane")
         G = TruncatedSeries([1, 0, 1, 1])  # [z^1] G = 0 kills rho(2)
         with pytest.raises(DenominatorVanishes) as info:
             rho_from_forest(G, fam, 3)
@@ -418,7 +420,8 @@ class TestAlphaFamily:
     def test_series_matches_ode_solver(self):
         for alpha in (Q(1), Q(2), Q(3), Q(1, 2)):
             closed = alpha_family_series(alpha, 15)
-            solved = solve_increasing(families.polyalpha(alpha), 15)
+            family = families.from_spec(f"polyalpha:{rational_to_string(alpha)}")
+            solved = solve_increasing(family, 15)
             assert closed == solved
 
     def test_counts_match_series(self):

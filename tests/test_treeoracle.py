@@ -149,7 +149,7 @@ class TestSignatureCounts:
         assert signature_counts(3) == {path_key: 1, star_key: 1}
 
     def test_size_edges(self):
-        fam = families.plane()
+        fam = families.from_spec("plane")
         rho = HookWeightFunction.named("1", TALLY_LIMIT + 1)
         with pytest.raises(ValueError):
             signature_counts(0)
@@ -215,19 +215,19 @@ class TestHookWeights:
 
 class TestWeightedSum:
     def test_binary_with_inverse_hooks_is_one(self):
-        fam = families.binary()
+        fam = families.from_spec("binary")
         rho = HookWeightFunction.named("1/n", 8)
         for n in range(1, 9):
             assert weighted_sum(n, fam, rho) == 1
 
     def test_plane_unweighted_counts_trees(self):
-        fam = families.plane()
+        fam = families.from_spec("plane")
         rho = HookWeightFunction.named("1", 8)
         for n in range(1, 9):
             assert weighted_sum(n, fam, rho) == catalan(n - 1)
 
     def test_size_one_is_phi0_times_rho1(self):
-        fam = families.yang(Q(1, 2), Q(3))
+        fam = families.from_spec("yang:1/2,3")
         rho = HookWeightFunction((Q(5, 7),))
         assert weighted_sum(1, fam, rho) == fam.weight_of_degree(0) * Q(5, 7)
 
@@ -237,12 +237,12 @@ class TestWeightedSum:
         # zero weights (binary has phi_k = 0 for k >= 3) and a zero rho(h)
         varied = tuple(Q(((3 * n) % 5) + 1, n) for n in range(1, 10))
         cases = [
-            (families.yang(Q(1, 2), Q(3)), varied),
-            (families.yang(Q(-1, 2), Q(3, 2)), varied),
-            (families.binary(), (Q(2, 3), Q(-5, 4), Q(0), Q(7), Q(1, 6), Q(3), Q(-1, 9),
-                                 Q(4, 11), Q(-3))),
-            (families.labelled(), (Q(1), Q(0), Q(1, 3), Q(4, 5), Q(-2), Q(1, 7), Q(5, 2),
-                                   Q(-8, 3), Q(1, 10))),
+            (families.from_spec("yang:1/2,3"), varied),
+            (families.from_spec("yang:-1/2,3/2"), varied),
+            (families.from_spec("binary"), (Q(2, 3), Q(-5, 4), Q(0), Q(7), Q(1, 6), Q(3),
+                                            Q(-1, 9), Q(4, 11), Q(-3))),
+            (families.from_spec("labelled"), (Q(1), Q(0), Q(1, 3), Q(4, 5), Q(-2), Q(1, 7),
+                                              Q(5, 2), Q(-8, 3), Q(1, 10))),
         ]
         for fam, values in cases:
             rho = HookWeightFunction(values)
@@ -264,7 +264,7 @@ class TestWeightedSum:
                          "polyalpha:1/2")
         ]
         cases += [
-            (families.labelled(), HookWeightFunction.named(name, 14))
+            (families.from_spec("labelled"), HookWeightFunction.named(name, 14))
             for name in ("1", "1/n", "n")
         ]
         cases += [
@@ -287,7 +287,8 @@ class TestWeightedSum:
 
     def test_one_pass_indexes_every_size(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
-        weighted_sum(TALLY_LIMIT, families.plane(), HookWeightFunction.named("1", TALLY_LIMIT))
+        plane = families.from_spec("plane")
+        weighted_sum(TALLY_LIMIT, plane, HookWeightFunction.named("1", TALLY_LIMIT))
         assert sorted(tally._indexed) == list(range(1, TALLY_LIMIT + 1))
         for m, index in tally._indexed.items():
             flat = {}
@@ -300,7 +301,7 @@ class TestWeightedSum:
 
     def test_rho_table_too_short(self):
         with pytest.raises(RhoRangeExceeded):
-            weighted_sum(4, families.plane(), HookWeightFunction.named("1", 3))
+            weighted_sum(4, families.from_spec("plane"), HookWeightFunction.named("1", 3))
 
     def test_derived_rho_reproduces_its_source_series(self):
         # central identity, third leg: derive rho from an arbitrary series,
@@ -310,7 +311,7 @@ class TestWeightedSum:
         from random import Random
 
         rng = Random(97)
-        for fam in (families.plane(), families.labelled()):
+        for fam in (families.from_spec("plane"), families.from_spec("labelled")):
             F = TruncatedSeries(
                 [0] + [Q(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
             )
@@ -387,7 +388,7 @@ class TestTreeText:
         assert hook_lengths(path) == list(range(MAX_TREE_DEPTH, 0, -1))
         assert labellings_recursive(path) == 1
         assert format_tree(path) == "(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH
-        assert families.plane().tree_weight_deg(path) == 1
+        assert families.from_spec("plane").tree_weight_deg(path) == 1
         with pytest.raises(SizeLimitExceeded):
             parse_tree("(" * (MAX_TREE_DEPTH + 1) + ")" * (MAX_TREE_DEPTH + 1))
 
