@@ -39,7 +39,8 @@ EXIT_INTERNAL = 4
 
 MAX_VERIFY_N = 12
 # The slowest builtin at this order, rho --from-model sg --phi labelled,
-# takes about 2 s on a 2.0 GHz Xeon core; cost grows about as order^3.
+# takes about 0.8 s on a 2.0 GHz Xeon core.  Its solve alone takes about
+# 33 s at order 1000: cost grows about as order^4.
 MAX_ORDER = 300
 
 _RESERVED_NAMES = ("t", "exp", "log")

@@ -45,6 +45,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress, count, repeat
+from math import lcm
+from operator import attrgetter, floordiv, mul
 
 from ._record import Record
 from .errors import (
@@ -57,7 +60,7 @@ from .errors import (
     UnknownFunction,
     ZeroConstantTerm,
 )
-from .rational import Rational, rational_from_string, rational_root
+from .rational import Rational, as_rational, rational_from_string, rational_root
 from .series import TruncatedSeries
 
 __all__ = [
@@ -428,19 +431,61 @@ def _const_eval(node: GfExpr, binding: ParamBinding) -> Fraction:
 # ``step(m)``, reading its children's coefficients 0..m, which are already
 # there because children come first in the evaluation order and F_m is
 # appended before any step.
+#
+# A product, quotient, power, exp or log node computes coefficient m from
+# one convolution sum: McIlroy's online scheme ("Power series, power
+# serious", J. Funct. Programming 9(3), 1999), with the exp, log and power
+# recurrences of Knuth (TAOCP vol. 2, section 4.7).  :func:`_dot` evaluates
+# that sum in integers: it multiplies the terms' numerators, brings every
+# term over the lcm of the term denominators and adds them with ``sum``,
+# so the node builds one Fraction, with one gcd, per coefficient instead
+# of normalising every product and every partial sum.  The weights of the
+# recurrences are integers in arithmetic progression, passed as a
+# ``count``; a rational exponent alpha/beta is multiplied through by beta.
+# Each sum runs only over the indices where both operands can be nonzero,
+# by each node's ``top``: a constant, or a polynomial such as ``1+t`` at
+# F = z, costs its degree per coefficient, not m.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Fraction's ``numerator`` and ``denominator`` are Python-level properties
+# over these two slots; reading the slots keeps every per-term operation
+# of :func:`_dot` in C.  So node coefficients are always Fractions, and
+# :meth:`OnlineSeries.extend` coerces its argument.
+_num = attrgetter("_numerator")
+_den = attrgetter("_denominator")
+
+
+def _dot(xs, ys, weights=None) -> tuple[int, int]:
+    """``sum_i w_i * xs[i] * ys[i]`` as integers ``(n, d)``, ``d > 0``.
+
+    ``xs`` and ``ys`` are equally long lists of Fractions (``ys`` usually
+    a reversed slice), ``weights`` an iterable of integers or None for all
+    ones.  The quotient ``n / d`` is not reduced.
+    """
+    nums = map(mul, map(_num, xs), map(_num, ys))
+    if weights is not None:
+        nums = map(mul, nums, weights)
+    nums = list(nums)
+    # a zero term adds nothing: its denominator is never read and stays out
+    # of the lcm
+    dens = list(map(mul, map(_den, compress(xs, nums)), map(_den, compress(ys, nums))))
+    d = lcm(*dens)  # 1 for an empty sum
+    return sum(map(mul, compress(nums, nums), map(floordiv, repeat(d), dens))), d
 
 
 class _Node:
-    """A coefficient list ``c``.  A bare ``_Node`` is the argument F: no
-    step extends it, :meth:`OnlineSeries.extend` does."""
+    """A coefficient list ``c`` and ``top``, an index of ``c`` at or above
+    its last nonzero coefficient (-1 while all are zero), which
+    :class:`OnlineSeries` keeps, so a product reads only the terms that
+    can be nonzero.  A bare ``_Node`` is the argument F, which starts as
+    the constant 0: no step extends it, :meth:`OnlineSeries.extend` does."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "top")
 
     def __init__(self, c: list):
         self.c = c
+        self.top = -1
 
 
 class _Const(_Node):
@@ -485,46 +530,40 @@ class _Mul(_Node):
         self.c = [a.c[0] * b.c[0]]
 
     def step(self, m):
-        a, b = self.a.c, self.b.c
-        acc = _ZERO
-        for i in range(m + 1):
-            ai = a[i]
-            if ai:
-                bi = b[m - i]
-                if bi:
-                    acc += ai * bi
-        self.c.append(acc)
+        a, b = self.a, self.b
+        # a_i b_{m-i} can be nonzero only for m - b.top <= i <= a.top
+        lo, hi = m - b.top, a.top + 1
+        self.c.append(Fraction(*_dot(a.c[lo:hi], b.c[::-1][lo:hi])))
 
 
 class _Div(_Node):
     """``c = a / b``: ``b_0 c_m = a_m - sum_{i<m} c_i b_{m-i}``."""
 
-    __slots__ = ("a", "b", "inv0")
+    __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-        self.inv0 = 1 / b.c[0]
-        self.c = [a.c[0] * self.inv0]
+        self.c = [a.c[0] / b.c[0]]
 
     def step(self, m):
-        b, c = self.b.c, self.c
-        acc = self.a.c[m]
-        for i in range(m):
-            ci = c[i]
-            if ci:
-                bi = b[m - i]
-                if bi:
-                    acc -= ci * bi
-        c.append(acc * self.inv0)
+        b, c, k = self.b.c, self.c, self.b.top
+        # c[-1:-k-1:-1] is c_{m-1} down to c_{m-k}, c_0 included
+        n, d = _dot(b[1 : k + 1], c[-1 : -k - 1 : -1])
+        am, b0 = self.a.c[m], b[0]
+        c.append(Fraction(
+            (am.numerator * d - n * am.denominator) * b0.denominator,
+            am.denominator * d * b0.numerator,
+        ))
 
 
 class _Pow(_Node):
     """``c = f^a`` from ``f * (f^a)' = a * f' * f^a``, termwise.
 
-    Write ``f = z^v g`` with ``g_0 != 0``.  Then ``c = z^(a v) g^a`` and,
-    with ``i = m - a v``,
+    Write ``f = z^v g`` with ``g_0 != 0`` and ``a = alpha/beta`` in lowest
+    terms.  Then ``c = z^(a v) g^a`` and, with ``i = m - a v``,
 
-        g_0 * i * c_m = sum_{j=1..i} ((a+1)*j - i) * f_{v+j} * c_{m-j}.
+        beta * g_0 * i * c_m
+            = sum_{j=1..i} ((alpha+beta)*j - beta*i) * f_{v+j} * c_{m-j}.
 
     ``v`` is 0 unless ``f(0) = 0``, which is allowed only for an integer
     ``a >= 2``; then ``v`` is the index of the first nonzero coefficient
@@ -532,11 +571,10 @@ class _Pow(_Node):
     ``c_0`` is given.
     """
 
-    __slots__ = ("f", "a", "a1")
+    __slots__ = ("f", "alpha", "beta")
 
     def __init__(self, f, a: Fraction, c0: Fraction):
-        self.f, self.a = f, a
-        self.a1 = a.numerator + 1 if a.denominator == 1 else a + 1
+        self.f, self.alpha, self.beta = f, a.numerator, a.denominator
         self.c = [c0]
 
     def step(self, m):
@@ -547,19 +585,15 @@ class _Pow(_Node):
             if v is None:
                 c.append(_ZERO)
                 return
-        i = m - self.a.numerator * v  # a is an integer when v > 0
+        i = m - self.alpha * v  # a is an integer when v > 0
         if i <= 0:
-            c.append(f[v] ** self.a.numerator if i == 0 else _ZERO)
+            c.append(f[v] ** self.alpha if i == 0 else _ZERO)
             return
-        a1 = self.a1
-        acc = _ZERO
-        for j in range(1, i + 1):
-            fj = f[v + j]
-            if fj:
-                cj = c[m - j]
-                if cj:
-                    acc += (a1 * j - i) * fj * cj
-        c.append(acc / (f[v] * i))
+        beta, ab = self.beta, self.alpha + self.beta
+        k = min(i, self.f.top - v)  # f_{v+j} = 0 for j > k
+        n, d = _dot(f[v + 1 : v + k + 1], c[-1 : -k - 1 : -1], count(ab - beta * i, ab))
+        fv = f[v]
+        c.append(Fraction(n * fv.denominator, d * beta * i * fv.numerator))
 
 
 class _Exp(_Node):
@@ -572,15 +606,9 @@ class _Exp(_Node):
         self.c = [_ONE]
 
     def step(self, m):
-        f, c = self.f.c, self.c
-        acc = _ZERO
-        for j in range(1, m + 1):
-            fj = f[j]
-            if fj:
-                cj = c[m - j]
-                if cj:
-                    acc += j * fj * cj
-        c.append(acc / m)
+        c, k = self.c, max(self.f.top, 0)  # top is -1 while f is all zero
+        n, d = _dot(self.f.c[1 : k + 1], c[-1 : -k - 1 : -1], count(1))
+        c.append(Fraction(n, d * m))
 
 
 class _Log(_Node):
@@ -594,14 +622,12 @@ class _Log(_Node):
 
     def step(self, m):
         f, c = self.f.c, self.c
-        acc = m * f[m]
-        for j in range(1, m):
-            fj = f[j]
-            if fj:
-                cj = c[m - j]
-                if cj:
-                    acc -= fj * (m - j) * cj
-        c.append(acc / m)
+        k = min(m - 1, self.f.top)
+        n, d = _dot(f[1 : k + 1], c[-1 : -k - 1 : -1], count(m - 1, -1))
+        fm = f[m]
+        c.append(Fraction(
+            fm.numerator * d * m - n * fm.denominator, fm.denominator * d * m
+        ))
 
 
 def _series_error(cls: type[SeriesError], message: str, span: tuple[int, int]) -> SeriesError:
@@ -631,12 +657,18 @@ class OnlineSeries:
         self.coefficients: list[Fraction] = self._compile(expr).c
 
     def extend(self, f: Fraction) -> Fraction:
-        """Append ``f`` as F's next coefficient; compute and return the
-        expression's next coefficient."""
-        m = len(self._F.c)
-        self._F.c.append(f)
+        """Append ``f``, an int or Fraction, as F's next coefficient;
+        compute and return the expression's next coefficient."""
+        f = as_rational(f)
+        F = self._F
+        m = len(F.c)
+        F.c.append(f)
+        if f:
+            F.top = m
         for node in self._nodes:
             node.step(m)
+            if node.c[m]:
+                node.top = m
         return self.coefficients[m]
 
     def retract(self) -> None:
@@ -644,11 +676,12 @@ class OnlineSeries:
         :meth:`extend` can run again with another value."""
         if len(self._F.c) < 2:
             raise ValueError("nothing to retract")
-        self._F.c.pop()
-        for node in self._nodes:
+        for node in (self._F, *self._nodes):
             node.c.pop()
+            node.top = min(node.top, len(node.c) - 1)
 
     def _add(self, node: _Node) -> _Node:
+        node.top = 0 if node.c[0] else -1
         self._nodes.append(node)
         return node
 

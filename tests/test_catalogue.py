@@ -34,7 +34,7 @@ from hooktrees.treeoracle import TALLY_LIMIT, weighted_sum
 
 from eager_series import alpha_family_count, alpha_family_series
 
-ORDER = 60
+ORDER = 150
 
 
 def one_plus_st_to_the_m(s, m):

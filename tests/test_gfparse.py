@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hooktrees import families
 from hooktrees.errors import (
@@ -323,6 +324,13 @@ class TestOnlineEvaluation:
         online = OnlineSeries(parse("t*t+t^1-t"), {})
         assert [online.extend(f) for f in (Q(2), Q(3))] == [0, 4]
 
+    def test_extend_takes_ints_and_refuses_floats(self):
+        online = OnlineSeries(parse("exp(t)*(1+t)^2"), {})
+        assert [online.extend(f) for f in (1, 0)] == [3, Q(7, 2)]
+        assert all(type(c) is Q for c in online.coefficients)
+        with pytest.raises(TypeError):
+            online.extend(0.5)
+
     def test_retract_needs_a_step(self):
         online = OnlineSeries(parse("1+t"), {})
         with pytest.raises(ValueError):
@@ -334,6 +342,87 @@ class TestOnlineEvaluation:
     def test_huge_exponent_of_a_zero_constant_series_costs_nothing(self):
         got = evaluate(parse("1+t+t^(2^60000)"), {}, 30)
         assert got == TruncatedSeries([1, 1], order=30)
+
+
+# Random rationals with numerators and denominators up to 2^70, small ones
+# and zeros, so products cancel, terms vanish and F may start late.
+KERNEL_ORDER = 20
+big = st.builds(Q, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+small = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+coefficient = st.one_of(st.just(Q(0)), small, big)
+nonzero = st.one_of(small, big).filter(bool)
+
+
+def case_mul(draw):
+    a, b = draw(coefficient), draw(coefficient)
+    return "(a+t)*(b-t*t)", {"a": a, "b": b}, lambda F: (a + F) * (b - F * F)
+
+
+def case_div(draw):
+    a, b = draw(coefficient), draw(nonzero)
+    return "(a+t)/(b+t)", {"a": a, "b": b}, lambda F: div(a + F, b + F)
+
+
+def case_pow_int(draw):
+    b, k = draw(nonzero), draw(st.sampled_from([-3, -2, -1, 2, 3, 4]))
+    return "(b+t)^k", {"b": b, "k": Q(k)}, lambda F: pow_int(b + F, k)
+
+
+def case_pow_of_zero_constant(draw):
+    # the v > 0 path: F may have leading zeros, so v may exceed 1
+    a, k = draw(coefficient), draw(st.integers(2, 4))
+    return "(a*t+t^2)^k", {"a": a, "k": Q(k)}, lambda F: pow_int(F * a + F * F, k)
+
+
+def case_pow_rational(draw):
+    r, q = draw(nonzero), draw(st.integers(2, 4))
+    p = draw(st.integers(-4, 4).filter(lambda p: p % q))
+    root = r if q % 2 else abs(r)  # the root that c^(1/q) takes
+    c, e = root**q, Q(p, q)
+    return (
+        "(c+t)^e",
+        {"c": c, "e": e},
+        lambda F: pow_rational(1 + div(F, c), e) * root**p,
+    )
+
+
+def case_exp(draw):
+    a = draw(coefficient)
+    return "exp(a*t)", {"a": a}, lambda F: exp(F * a)
+
+
+def case_log(draw):
+    a = draw(coefficient)
+    return "log(1+a*t)", {"a": a}, lambda F: log(1 + F * a)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case_mul, case_div, case_pow_int, case_pow_of_zero_constant, case_pow_rational,
+     case_exp, case_log],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_online_nodes_match_the_eager_reference(case, data):
+    text, binding, reference = case(data.draw)
+    expr = parse(text)
+    values = data.draw(st.lists(coefficient, min_size=KERNEL_ORDER, max_size=KERNEL_ORDER))
+    F = TruncatedSeries([0, *values])
+    expected = reference(F)
+    at_z = evaluate(expr, binding, KERNEL_ORDER)
+    assert at_z == reference(identity(KERNEL_ORDER))
+    assert at_z.compose(F) == expected
+    online = OnlineSeries(expr, binding)
+    for m, f in enumerate(values, 1):
+        online.extend(f + 1)  # a wrong guess, taken back
+        online.retract()
+        assert online.extend(f) == expected.coeff(m)
+    for _ in range(3):
+        online.retract()
+    for f in values[-3:]:
+        online.extend(f)
+    assert online.coefficients == list(expected.coefficients)
+    assert all(type(c) is Q for c in online.coefficients)
 
 
 class TestResourceBounds:
