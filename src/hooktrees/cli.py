@@ -16,15 +16,23 @@ and a tree nested deeper than ``treeoracle.MAX_TREE_DEPTH``.  Rationals
 always print as ``p`` or ``p/q``, never as decimals, and integers print
 exactly at any length; identical invocations produce byte-identical
 output.
+
+The flags of every command are one table, ``_COMMANDS``.  A value follows
+its flag (``--order 3``) or is joined to it (``--order=3``), and a long
+flag may be cut to a unique prefix (``--ord 3``).  ``hooktrees --help``
+lists the commands and ``hooktrees COMMAND --help`` the flags of one.  A
+usage error (an unknown command or flag, an ambiguous prefix, a missing
+value or required flag, a bad choice, a non-integer ``--order`` or
+``--max-n``) writes one ``error:`` line and exits 2.  ``json`` and ``csv``
+are imported only by the output format that prints with them, which keeps
+start-up short.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import io
-import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
 from .errors import DenominatorVanishes, DomainError, HookTreesError
@@ -46,76 +54,192 @@ MAX_ORDER = 300
 _RESERVED_NAMES = ("t", "exp", "log")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hooktrees",
-        description="Exact hook-length weight calculus for weighted ordered trees.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command-line grammar: command -> (help, flags), each flag a row
+# (flag, dest, kind, default, choices, help).  kind is str or int for a
+# flag that takes one value, list for a repeatable one and bool for a bare
+# switch; a default of _REQUIRED makes the flag required.  Every command
+# also takes -h/--help.
+_REQUIRED = object()
+_PHI_FLAGS = (
+    ("--phi", "phi", str, _REQUIRED, None,
+     "degree-weight family: builtin spec (binary, kary:3, plane, "
+     "labelled, yang:1/2,4, polyalpha:2) or an expression in t"),
+    ("--param", "param", list, [], None,
+     "bind an expression parameter to an exact rational (repeatable)"),
+    ("--allow-degenerate", "allow_degenerate", bool, False, None,
+     "run even if the family fails the standing assumptions"),
+)
+_OUTPUT_FLAG = (
+    ("--output", "output", str, "plain", ("plain", "json", "csv"),
+     "output format (default plain)"),
+)
+_ORDER_FLAG = (("--order", "order", int, _REQUIRED, None, f"at most {MAX_ORDER}"),)
+_COMMANDS = {
+    "series": ("solve T = z*phi(T) or T' = phi(T)", (
+        ("--model", "model", str, _REQUIRED, ("sg", "inc"),
+         "sg: simply generated (fixed point); inc: increasing (ODE)"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
+    "rho": ("hook weight table from a tree counting series", (
+        ("--from-model", "from_model", str, None, ("sg", "inc"),
+         "take F from the sg or inc solution for phi"),
+        ("--F", "expr", str, None, None, "take F from an expression in t"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
+    "rho-forest": ("hook weight table from a forest series G = phi(F)", (
+        ("--G", "expr", str, _REQUIRED, None,
+         "the forest series, an expression in t with G(0) = phi_0"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
+    "verify": ("certify the identity by exhaustive enumeration", (
+        ("--rho", "rho", str, _REQUIRED, None,
+         "named table (1, 1/n, n) or explicit comma-separated rationals"),
+        ("--max-n", "max_n", int, _REQUIRED, None,
+         f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})"),
+        *_PHI_FLAGS, *_OUTPUT_FLAG)),
+    "labellings": ("count increasing labellings of one tree", (
+        ("--tree", "tree", str, _REQUIRED, None, "balanced-parenthesis word, e.g. ((())())"),
+        *_OUTPUT_FLAG)),
+}
+_HELP_FLAGS = ("-h", "--help")
+_TOP_FLAGS = (*_HELP_FLAGS, "--version")
+# a token that starts with "-" is still a value when it reads as a
+# negative number or holds a space (argparse's rule)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def add_common(p: argparse.ArgumentParser, with_phi: bool = True) -> None:
-        if with_phi:
-            p.add_argument(
-                "--phi",
-                required=True,
-                help="degree-weight family: builtin spec (binary, kary:3, plane, "
-                "labelled, yang:1/2,4, polyalpha:2) or an expression in t",
-            )
-            p.add_argument(
-                "--param",
-                action="append",
-                default=[],
-                metavar="NAME=P/Q",
-                help="bind an expression parameter to an exact rational (repeatable)",
-            )
-            p.add_argument(
-                "--allow-degenerate",
-                action="store_true",
-                help="run even if the family fails the standing assumptions",
-            )
-        p.add_argument(
-            "--output",
-            choices=("plain", "json", "csv"),
-            default="plain",
-            help="output format (default plain)",
-        )
 
-    p = sub.add_parser("series", help="solve T = z*phi(T) or T' = phi(T)")
-    p.add_argument("--model", choices=("sg", "inc"), required=True,
-                   help="sg: simply generated (fixed point); inc: increasing (ODE)")
-    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
-    add_common(p)
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
 
-    p = sub.add_parser("rho", help="hook weight table from a tree counting series")
-    p.add_argument("--from-model", choices=("sg", "inc"), dest="from_model",
-                   help="take F from the sg or inc solution for phi")
-    p.add_argument("--F", dest="expr", metavar="EXPR",
-                   help="take F from an expression in t")
-    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
-    add_common(p)
 
-    p = sub.add_parser("rho-forest", help="hook weight table from a forest series G = phi(F)")
-    p.add_argument("--G", dest="expr", metavar="EXPR", required=True,
-                   help="the forest series, an expression in t with G(0) = phi_0")
-    p.add_argument("--order", type=int, required=True, help=f"at most {MAX_ORDER}")
-    add_common(p)
+def _print_and_exit(text: str):
+    """Print ``--help`` or ``--version`` and exit 0.  One write: with
+    unbuffered stdout, ``print`` writes the newline apart, and a reader
+    that has closed the pipe (``| head -1``) turns it into an error."""
+    sys.stdout.write(text + "\n")
+    raise SystemExit(EXIT_OK)
 
-    p = sub.add_parser("verify", help="certify the identity by exhaustive enumeration")
-    p.add_argument("--rho", required=True,
-                   help="named table (1, 1/n, n) or explicit comma-separated rationals")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n",
-                   help=f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})")
-    add_common(p)
 
-    p = sub.add_parser("labellings", help="count increasing labellings of one tree")
-    p.add_argument("--tree", required=True,
-                   help="balanced-parenthesis word, e.g. ((())())")
-    add_common(p, with_phi=False)
+def _switch(name: str, joined: str | None) -> None:
+    """Refuse a value joined to a flag that takes none."""
+    if joined is not None:
+        _usage_error(f"{name} takes no value, got {joined!r}")
 
-    return parser
+
+def _help(command: str | None) -> str:
+    """The list of commands, or the flags of one command, from ``_COMMANDS``."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join([
+            "usage: hooktrees [--version] COMMAND [FLAG ...]", "",
+            "Exact hook-length weight calculus for weighted ordered trees.", "",
+            "commands:",
+            *(f"  {name:{width}}  {text}" for name, (text, _) in _COMMANDS.items()),
+            "", "Run 'hooktrees COMMAND --help' for the flags of a command.",
+        ])
+    text, rows = _COMMANDS[command]
+    usage, lines = [], []
+    for flag, dest, kind, default, choices, about in rows:
+        if kind is bool:
+            meta = ""
+        elif choices:
+            meta = " {" + ",".join(choices) + "}"
+        else:
+            meta = " " + dest.upper()
+        required = default is _REQUIRED
+        usage.append(f"{flag}{meta}" if required else f"[{flag}{meta}]")
+        lines.append((f"{flag}{meta}", about + " (required)" * required))
+    lines.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in lines)
+    return "\n".join([f"usage: hooktrees {command} " + " ".join(usage), "", text, "",
+                      *(f"  {left:{width}}  {right}" for left, right in lines)])
+
+
+def _flag(token: str, names) -> tuple[str, str | None] | None:
+    """The flag that ``token`` names and the value joined to it, if any;
+    None when ``token`` is a value.  A long flag may be cut to a unique
+    prefix; an unknown flag comes back as itself."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, joined = token.partition("=")
+    if eq and name in names:
+        return name, joined
+    if token.startswith("--"):
+        found = [flag for flag in names if flag.startswith(name)]
+        if len(found) > 1:
+            _usage_error(f"flag {name!r} is ambiguous: it could be {' or '.join(found)}")
+        if found:
+            return found[0], joined if eq else None
+    elif token[:2] in names:  # -hVALUE; -hh is -h -h
+        return token[:2], token[2:].lstrip("h") or None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return token, None
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``_COMMANDS``.  ``--version`` and ``--help``
+    print to stdout and exit 0; a usage error writes one ``error:`` line
+    and exits 2."""
+    strays = []
+    for at, token in enumerate(argv):
+        found = None if token == "--" else _flag(token, _TOP_FLAGS)
+        if found is None:
+            break
+        name, joined = found
+        if name in _TOP_FLAGS:
+            _switch(name, joined)
+            _print_and_exit(f"hooktrees {__version__}" if name == "--version" else _help(None))
+        strays.append(token)
+    else:
+        _usage_error(f"missing command, one of {', '.join(_COMMANDS)}")
+    command, rest = argv[at], argv[at + 1:]
+    if command not in _COMMANDS:
+        _usage_error(f"unknown command {command!r}, expected one of {', '.join(_COMMANDS)}")
+    rows = {row[0]: row for row in _COMMANDS[command][1]}
+    names = (*rows, *_HELP_FLAGS)
+    values = {dest: default for _, dest, _, default, _, _ in rows.values()}
+    # after "--" every token is positional, and this grammar has none
+    cut = rest.index("--") if "--" in rest else len(rest)
+    strays += rest[cut:]
+    # every token is read before any flag acts, so an ambiguous prefix
+    # is an error even after --help
+    tokens = [(_flag(token, names), token) for token in rest[:cut]]
+    at = 0
+    while at < len(tokens):
+        found, token = tokens[at]
+        at += 1
+        if found is None or found[0] not in names:
+            strays.append(token)
+            continue
+        name, joined = found
+        if name in _HELP_FLAGS:
+            _switch(name, joined)
+            _print_and_exit(_help(command))
+        _, dest, kind, _, choices, _ = rows[name]
+        if kind is bool:
+            _switch(name, joined)
+            values[dest] = True
+            continue
+        if joined is None:
+            if at == len(tokens) or tokens[at][0] is not None:
+                _usage_error(f"{name} needs a value")
+            joined = tokens[at][1]
+            at += 1
+        if kind is int:
+            try:
+                joined = int(joined)
+            except ValueError:
+                _usage_error(f"{name} needs an integer, got {joined!r}")
+        if choices and joined not in choices:
+            _usage_error(f"{name} must be one of {', '.join(choices)}, got {joined!r}")
+        values[dest] = values[dest] + [joined] if kind is list else joined
+    missing = [flag for flag, dest, *_ in rows.values() if values[dest] is _REQUIRED]
+    if missing:
+        _usage_error(f"{command} needs {', '.join(missing)}")
+    if strays:
+        _usage_error(f"unrecognized arguments: {' '.join(map(repr, strays))}")
+    return SimpleNamespace(command=command, **values)
 
 
 # --- input helpers ----------------------------------------------------------------
@@ -185,6 +309,8 @@ def _json_object(payload: dict) -> str:
     """The bytes of ``json.dumps(payload)``, except that integer values
     print exactly at any length: ``json`` stops at the interpreter's
     int/str digit limit."""
+    import json
+
     items = (
         json.dumps(key) + ": "
         + (rational_to_string(value) if type(value) is int else json.dumps(value))
@@ -199,6 +325,9 @@ def _emit_table(args, payload: dict | list, csv_rows: list[list[str]], plain: li
         for item in payload if isinstance(payload, list) else [payload]:
             print(_json_object(item))
     elif args.output == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(csv_rows)
@@ -342,9 +471,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the process exit code.  ``--help``,
+    ``--version`` and a usage error raise ``SystemExit`` instead."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
     except DenominatorVanishes as err:

@@ -445,20 +445,39 @@ class TestBigIntegers:
 
 
 class TestColdStart:
-    def test_import_needs_no_dataclasses_inspect_or_typing(self):
-        # -S keeps site-packages and its .pth files out, so only the
-        # package and the stdlib modules it imports are loaded
+    @staticmethod
+    def cold(code):
+        """The stdout lines of ``code`` run in a fresh interpreter.  -S keeps
+        site-packages and its .pth files out, so only the package and the
+        stdlib modules it imports are loaded."""
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys, hooktrees.cli; "
-            "print(hooktrees.cli.__file__); "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-        )
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, check=True,
         )
-        location, loaded = result.stdout.splitlines()
+        return src, result.stdout.splitlines()
+
+    def test_import_needs_no_dataclasses_inspect_or_typing(self):
+        src, (location, loaded) = self.cold(
+            "import sys, hooktrees.cli; "
+            "print(hooktrees.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
         assert Path(location).resolve().is_relative_to(src)
         assert loaded == "[]"
+
+    @pytest.mark.parametrize("output, loaded", [
+        ("plain", "[]"),
+        ("json", "['json']"),
+        ("csv", "['csv']"),
+    ])
+    def test_only_the_output_format_imports_its_module(self, output, loaded):
+        # argparse, and the gettext and locale it pulls in, are not used at all
+        _, lines = self.cold(
+            "import sys, hooktrees.cli; "
+            "hooktrees.cli.main(['series', '--model', 'sg', '--phi', 'binary', "
+            f"'--order', '3', '--output', '{output}']); "
+            "print(sorted({'argparse', 'json', 'csv', 'gettext', 'locale'} & set(sys.modules)))"
+        )
+        assert lines[-1] == loaded
