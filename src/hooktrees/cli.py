@@ -46,9 +46,9 @@ EXIT_UNDEFINED = 3
 EXIT_INTERNAL = 4
 
 MAX_VERIFY_N = 12
-# The slowest builtin at this order, rho --from-model sg --phi labelled,
-# takes about 0.8 s on a 2.0 GHz Xeon core.  Its solve alone takes about
-# 33 s at order 1000: cost grows about as order^4.
+# The slowest builtin at this order, sg labelled (series or rho
+# --from-model), takes about 0.3 s on a 2.1 GHz Xeon core.  Its solve
+# alone takes about 33 s at order 1000: cost grows about as order^4.
 MAX_ORDER = 300
 
 _RESERVED_NAMES = ("t", "exp", "log")
@@ -368,11 +368,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_rho(args) -> int:
     family, F = _load_family(args)
-    if args.from_model == "sg":
-        F = hookcalc.solve_simply_generated(family, args.order)
-    elif args.from_model == "inc":
-        F = hookcalc.solve_increasing(family, args.order)
-    rho = hookcalc.rho_from_series(F, family, args.order)
+    if args.from_model is None:
+        rho = hookcalc.rho_from_series(F, family, args.order)
+    else:
+        rho = hookcalc.rho_from_model(family, args.order, args.from_model)
     _emit_rho(args, rho)
     return EXIT_OK
 

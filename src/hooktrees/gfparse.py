@@ -336,11 +336,10 @@ class _Parser:
             if tok.text == "t":
                 return Variable((tok.start, tok.end))
             return Parameter((tok.start, tok.end), tok.text)
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok.start,
-            frozenset({"number", "identifier", "'('", "'-'"}),
-        )
+        expected = {"number", "identifier", "'('"}
+        if not (self.pos and self.tokens[self.pos - 1].kind == "^"):
+            expected.add("'-'")  # an exponent takes no unary minus
+        raise ParseError(f"unexpected {self._describe(tok)}", tok.start, frozenset(expected))
 
 
 def parse(text: str) -> GfExpr:

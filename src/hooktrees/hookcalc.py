@@ -8,26 +8,27 @@ positive integers, and the counting series
 
 Splitting a tree of size n at its root shows that
 
-    [z^n] F = rho(n) * [z^{n-1}] phi(F(z)),
+    [z^n] F = rho(n) * d_n,    d_n = [z^{n-1}] phi(F(z)).
 
-which can be read in both directions: :func:`series_from_rho` builds F
-coefficient by coefficient, and :func:`rho_from_series` recovers rho as a
-quotient of coefficients.  :func:`rho_from_forest` is the same calculus
-applied to G = phi(F): it solves ``phi(F) = G`` for F one coefficient at
-a time, since F_n enters ``[z^n] phi(F)`` linearly, with coefficient
-``phi_1``.
+d_n involves only F_0..F_{n-1}, so one walk, :func:`_walk`, takes n from
+1 upwards: it evaluates ``phi(F)`` online (see
+:class:`gfparse.OnlineSeries`), hands d_n to a callback that returns F_n,
+and extends ``phi(F)`` by F_n.  Coefficient n costs O(n) operations per
+expression node, order N costs O(N^2).  Every solver is that walk with
+its own callback: F_n = d_n solves ``T = z*phi(T)`` for simply generated
+families (:func:`solve_simply_generated`), F_n = d_n / n solves
+``T' = phi(T)`` for increasing ones (:func:`solve_increasing`, plain
+coefficients ``T_n/n!``), F_n = rho(n) * d_n is :func:`series_from_rho`,
+and a known F_n gives :func:`rho_from_series` its denominators.
+:func:`rho_from_model` keeps both lists of one solving walk and takes
+rho(n) = F_n / d_n from them.
 
-Two classical solvers are included for the unweighted equations:
-``T = z*phi(T)`` for simply generated families (ordinary generating
-function) and ``T' = phi(T)`` for increasing families (exponential
-generating function, stored as plain coefficients ``T_n/n!``).
-
-Every solver evaluates ``phi(F)`` online (see :class:`gfparse.OnlineSeries`):
-it hands each new coefficient F_n to ``extend``, which returns the next
-coefficient of ``phi(F)``, so coefficient n costs O(n) operations per
-expression node and order N costs O(N^2), instead of composing phi with
-the whole partial series again at every step.  The tests hold the
-solvers against composition, against the eager series algebra in
+:func:`rho_from_forest` reads the relation from G = phi(F), so d_n =
+G_{n-1} is given and F is unknown.  It keeps its own loop: F_n is solved
+from ``[z^n] phi(F) = G_n``, which holds F_n linearly with coefficient
+``phi_1``, so each step extends ``phi(F)`` with F_n = 0, retracts, and
+extends again with the solved value.  The tests hold the solvers
+against composition, against the eager series algebra in
 ``tests/eager_series.py`` and against the closed forms of
 ``tests/test_catalogue.py``.
 """
@@ -55,6 +56,7 @@ __all__ = [
     "solve_increasing",
     "egf_counts",
     "rho_from_series",
+    "rho_from_model",
     "series_from_rho",
     "rho_from_forest",
 ]
@@ -115,43 +117,51 @@ class HookWeightFunction(Record):
         return cls(values[:size])
 
 
-# --- solvers for the two classical equations ----------------------------------
+# --- the triangular walk -------------------------------------------------------------
 
 
-def _solve(family: DegreeWeightFamily, order: int, weight) -> TruncatedSeries:
-    """The unique F with ``F(0) = 0`` and ``F_n = weight(n) * [z^{n-1}] phi(F)``.
-
-    Triangular: the right side only involves coefficients of index below n,
-    and extending phi(F) by F_{n-1} yields ``[z^{n-1}] phi(F)``.
-    """
+def _walk(family: DegreeWeightFamily, upto: int, next_coefficient):
+    """For n = 1..upto, F_n = ``next_coefficient(n, d_n)`` with
+    ``d_n = [z^{n-1}] phi(F)``; returns F, with ``F(0) = 0``, and
+    ``[d_1, .., d_upto]``."""
+    if upto < 1:
+        raise ValueError("order must be at least 1")
     phi_of_F = family.phi_at()
-    F = [Fraction(0), weight(1) * phi_of_F.coefficients[0]]
-    for n in range(2, order + 1):
-        F.append(weight(n) * phi_of_F.extend(F[n - 1]))
-    return TruncatedSeries(F)
+    F = [Fraction(0)]
+    for n in range(1, upto + 1):
+        if n > 1:
+            phi_of_F.extend(F[n - 1])
+        F.append(next_coefficient(n, phi_of_F.coefficients[n - 1]))
+    return TruncatedSeries(F), phi_of_F.coefficients
+
+
+def _quotients(F, d: list, of: str) -> HookWeightFunction:
+    """``rho(n) = F[n] / d[n-1]``, where ``d[n-1] = [z^{n-1}] of``."""
+    values = []
+    for n, den in enumerate(d, 1):
+        if den == 0:
+            raise DenominatorVanishes(n, f"[z^{n - 1}] {of} = 0")
+        values.append(F[n] / den)
+    return HookWeightFunction(values)
+
+
+_MODELS = {"sg": lambda n, d: d, "inc": lambda n, d: d / n}
 
 
 def solve_simply_generated(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
-    """The unique series T with ``T(0)=0`` and ``T = z*phi(T)``.
-
-    Triangular: ``T_n = [z^{n-1}] phi(T)`` only involves coefficients of
-    index below n, so the series is built one coefficient at a time.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return _solve(family, order, lambda n: 1)
+    """The unique series T with ``T(0)=0`` and ``T = z*phi(T)``: the walk
+    with ``T_n = [z^{n-1}] phi(T)``."""
+    return _walk(family, order, _MODELS["sg"])[0]
 
 
 def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     """Exponential-generating-function solution of ``T' = phi(T)``, ``T(0)=0``.
 
     Returned as plain coefficients ``[z^n]T = T_n/n!``; use
-    :func:`egf_counts` for the counts ``T_n`` themselves.  Triangular:
+    :func:`egf_counts` for the counts ``T_n`` themselves.  The walk with
     ``n*[z^n]T = [z^{n-1}] phi(T)``.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return _solve(family, order, lambda n: Fraction(1, n))
+    return _walk(family, order, _MODELS["inc"])[0]
 
 
 def egf_counts(series: TruncatedSeries) -> list[Fraction]:
@@ -171,31 +181,28 @@ def rho_from_series(
     Raises :class:`DenominatorVanishes` where the quotient is undefined.
     """
     _check_tree_series(F, upto)
-    phi_of_F = family.phi_at()
-    values = []
-    for n in range(1, upto + 1):
-        den = phi_of_F.extend(F.coeff(n - 1)) if n > 1 else phi_of_F.coefficients[0]
-        if den == 0:
-            raise DenominatorVanishes(n, "[z^{n-1}] phi(F) = 0")
-        values.append(F.coeff(n) / den)
-    return HookWeightFunction(tuple(values))
+    _, d = _walk(family, upto, lambda n, d_n: F.coeff(n))
+    return _quotients(F.coefficients, d, "phi(F)")
+
+
+def rho_from_model(family: DegreeWeightFamily, order: int, model: str) -> HookWeightFunction:
+    """:func:`rho_from_series` of the series that ``model`` solves: ``"sg"``
+    as :func:`solve_simply_generated`, ``"inc"`` as :func:`solve_increasing`.
+    The quotients take their denominators from the walk that solves it."""
+    F, d = _walk(family, order, _MODELS[model])
+    return _quotients(F.coefficients, d, "phi(F)")
 
 
 def series_from_rho(
     rho: HookWeightFunction, family: DegreeWeightFamily, order: int
 ) -> TruncatedSeries:
-    """The unique F with ``F(0)=0`` and ``[z^n]F = rho(n)*[z^{n-1}]phi(F)``.
-
-    The right side only involves coefficients of index below n, so the
-    series is built triangularly; in particular ``F_1 = phi_0 * rho(1)``.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    """The unique F with ``F(0)=0`` and ``[z^n]F = rho(n)*[z^{n-1}]phi(F)``:
+    the walk itself; in particular ``F_1 = phi_0 * rho(1)``."""
     if rho.size < order:
         raise RhoRangeExceeded(
             f"rho covers 1..{rho.size} but order {order} was requested"
         )
-    return _solve(family, order, rho)
+    return _walk(family, order, lambda n, d_n: rho(n) * d_n)[0]
 
 
 def rho_from_forest(
@@ -206,8 +213,8 @@ def rho_from_forest(
     Solves ``phi(F) = G`` for the tree series F with ``F(0) = 0``, then
     ``rho(n) = [z^n] F / [z^{n-1}] G``.  F_n enters ``[z^n] phi(F)``
     linearly, with coefficient ``phi_1``, so each step evaluates
-    ``[z^n] phi(F)`` with F_n = 0 and solves for F_n.  Requires
-    ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
+    ``[z^n] phi(F)`` with F_n = 0, retracts it and solves for F_n.
+    Requires ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
     """
     if upto < 1:
         raise ValueError("upto must be at least 1")
@@ -215,8 +222,7 @@ def rho_from_forest(
         raise OrderExceeded(
             f"G is known to order {G.order} but rho(1..{upto}) needs order {upto}"
         )
-    phi = family.phi_series(1)
-    phi0, phi1 = phi.coeff(0), phi.coeff(1)
+    phi0, phi1 = family.weight_of_degree(0), family.weight_of_degree(1)
     if G.coeff(0) != phi0:
         raise ConstantMismatch(
             f"G(0) = {rational_to_string(G.coeff(0))} but the family has "
@@ -233,18 +239,10 @@ def rho_from_forest(
         phi_of_F.retract()
         F.append((G.coeff(n) - rest) / phi1)
         phi_of_F.extend(F[n])
-    values = []
-    for n in range(1, upto + 1):
-        den = G.coeff(n - 1)
-        if den == 0:
-            raise DenominatorVanishes(n, "[z^{n-1}] G = 0")
-        values.append(F[n] / den)
-    return HookWeightFunction(tuple(values))
+    return _quotients(F, G.coefficients[:upto], "G")
 
 
 def _check_tree_series(F: TruncatedSeries, upto: int) -> None:
-    if upto < 1:
-        raise ValueError("upto must be at least 1")
     if F.coeff(0) != 0:
         raise ValueError("a tree counting series must have F(0) = 0")
     if F.order < upto:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hooktrees import cli, hookcalc, treeoracle
+from hooktrees import cli, gfparse, hookcalc, treeoracle
 from hooktrees.series import TruncatedSeries
 
 
@@ -136,6 +136,42 @@ class TestRhoCommand:
         )
         assert code == 3
         assert "rho(3)" in err
+        assert out == ""
+        assert err == (
+            "error: rho(3) is undefined: denominator coefficient vanishes "
+            "([z^2] phi(F) = 0)\n"
+        )
+
+    @pytest.mark.parametrize("model", ["sg", "inc"])
+    def test_vanishing_denominator_from_model_exits_3(self, capsys, model):
+        # 1 + F^2 has no z^1 term, since F(0) = 0
+        code, out, err = run_cli(
+            capsys, "rho", "--phi", "1+t^2", "--from-model", model, "--order", "4"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: rho(2) is undefined: denominator coefficient vanishes "
+            "([z^1] phi(F) = 0)\n"
+        )
+
+    @pytest.mark.parametrize("order", [2, 7, 30])
+    def test_from_model_walks_phi_of_F_once(self, capsys, monkeypatch, order):
+        # validate expands phi to degree N: N extends; the walk that solves
+        # F and supplies the quotients' denominators: N - 1 more
+        calls = []
+        extend = gfparse.OnlineSeries.extend
+
+        def counted(self, f):
+            calls.append(f)
+            return extend(self, f)
+
+        monkeypatch.setattr(gfparse.OnlineSeries, "extend", counted)
+        code, out, _ = run_cli(
+            capsys, "rho", "--from-model", "sg", "--phi", "labelled",
+            "--order", str(order),
+        )
+        assert (code, out) == (0, " ".join(["1"] * order) + "\n")
+        assert len(calls) == 2 * order - 1
 
     def test_json_round_trips_rationals(self, capsys):
         code, out, _ = run_cli(
@@ -168,6 +204,16 @@ class TestRhoForestCommand:
         )
         assert code == 2
         assert "phi_0" in err
+
+    def test_vanishing_denominator_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rho-forest", "--phi", "plane", "--G", "1+t^2+t^3", "--order", "3"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: rho(2) is undefined: denominator coefficient vanishes "
+            "([z^1] G = 0)\n"
+        )
 
 
 class TestVerifyCommand:

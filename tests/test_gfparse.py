@@ -208,6 +208,23 @@ class TestParseErrors:
             parse("1+*2")
         assert info.value.offset == 2
 
+    def test_exponent_lists_no_unary_minus(self):
+        with pytest.raises(ParseError) as info:
+            parse("1+t+t^2*(1+t)^-1")
+        assert info.value.offset == 14
+        assert info.value.expected == frozenset({"'('", "identifier", "number"})
+        assert str(info.value) == (
+            "unexpected token '-' at offset 14 (expected '(', identifier, number)"
+        )
+
+    def test_operand_lists_unary_minus(self):
+        with pytest.raises(ParseError) as info:
+            parse("+t")
+        assert info.value.expected == frozenset({"'('", "'-'", "identifier", "number"})
+        with pytest.raises(ParseError) as info:
+            parse("t^(+t)")
+        assert "'-'" in info.value.expected
+
     def test_zero_denominator_literal(self):
         with pytest.raises(ParseError) as info:
             parse("3/0 + t")
