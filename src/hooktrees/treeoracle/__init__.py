@@ -1,11 +1,11 @@
 """Tree enumeration and weighted sums (the certification oracle).
 
 Two oracles that share no code with the series half.  ``tally`` is the
-fast one: it visits each unordered rooted tree once, credits its
-signature (degree and hook-length histograms) with its number of plane
-embeddings, and evaluates weighted sums in exact integer arithmetic.
-``trees`` is the literal one: it streams every ordered tree and is the
-reference the tests hold the tally against.
+fast one: it counts the ordered trees of each signature (degree and
+hook-length histograms) by building ordered forests from whole classes
+of trees that share a signature, and evaluates weighted sums in exact
+integer arithmetic.  ``trees`` is the literal one: it streams every
+ordered tree and is the reference the tests hold the tally against.
 """
 
 from .tally import TALLY_LIMIT, backend_name, signature_counts, weighted_sum

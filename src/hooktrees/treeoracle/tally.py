@@ -1,13 +1,21 @@
 """The fast oracle: ordered trees tallied by signature, weighed block by block.
 
 A tree's signature is its out-degree histogram together with its
-hook-length histogram.  Neither changes when children are reordered, so
-the tally visits each unordered rooted tree once and credits its
-signature with the number of ordered trees it stands for: the product
-over vertices of ``j! / prod(mult!)``, where ``j`` is the out-degree and
-the multiplicities count isomorphic child subtrees (the orbit-stabilizer
-count of child orderings; Beyer and Hedetniemi, "Constant time generation
-of rooted trees", SIAM J. Comput. 9(4), 1980).
+hook-length histogram.  The ordered trees of one size that share a
+signature form one class, counted by how many trees it holds; the tally
+of a size is its classes.  A tree of size m is a root over an ordered
+forest of m - 1 vertices, and the pass builds forests from classes, not
+from single trees.  Appending k trees drawn from a class of count c to a
+forest of j trees gives comb(j + k, k) * c**k ordered forests, whichever
+trees of the class are drawn (the multinomial theorem: the k places among
+j + k, then a tree of the class in each), and adds the class's
+signature k times.  So the forests of s vertices split by the size a of
+their largest trees into a block of k trees of size a, drawn from the
+classes of that size, and a stored forest of s - k*a vertices whose trees
+are all smaller than a.  Forests are kept by degree histogram, each as
+parallel lists of hook histograms and counts, so every product of a
+block and a forest runs in C through ``map``.  The forests of n - 1
+vertices go straight into the tally of size n and are never stored.
 
 One pass to size n finishes every smaller size on the way, and tallies
 each size it finishes, grouped as ``{degree histogram: {hook histogram:
@@ -21,14 +29,17 @@ of its two blocks and a signature one multiply-add, run in C by ``map``
 and ``sum``.
 
 ``enumerate_trees`` in ``trees`` is the literal oracle that the tests
-hold this one against.  Like it, this module shares nothing with the
-series half.
+hold this one against, together with a walk that visits each unordered
+tree once (Beyer and Hedetniemi, "Constant time generation of rooted
+trees", SIAM J. Comput. 9(4), 1980), kept in the tests.  Like them, this
+module shares nothing with the series half.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import repeat
 from math import comb, prod
 from operator import getitem, mul
 
@@ -36,16 +47,18 @@ from ..errors import RhoRangeExceeded, SizeLimitExceeded
 
 __all__ = ["TALLY_LIMIT", "backend_name", "signature_counts", "weighted_sum"]
 
-# One pass to size 16 (235,381 unordered trees, 9.7 million ordered) takes
-# about 0.39 s on one Xeon core, and a first weighted_sum(16) in a fresh
-# process, which indexes every size up to 16, about 0.44 s and 49 MB peak
-# RSS; each size up costs about 2.7 times more.
+# One pass to size 16 (133,961 signatures, 9.7 million ordered trees) takes
+# about 0.15 s on one core of a shared 2-vCPU Xeon VM, a quarter of the time
+# of the unordered-tree walk kept in the tests.  A first weighted_sum(16) in
+# a fresh process, which indexes every size up to 16, takes about 0.3 s and
+# 48 MB peak RSS.  Each size up costs about 2.4 times the time and twice the
+# memory (0.88 s and 168 MB for the pass alone at 18).
 TALLY_LIMIT = 16
 
 
 def backend_name() -> str:
     """The tally method, as one token; kept for tools that record it."""
-    return "unordered-embeddings"
+    return "signature-class-forests"
 
 
 def _check_size(n: int) -> None:
@@ -57,60 +70,125 @@ def _check_size(n: int) -> None:
         )
 
 
-def _grouped_sizes(n: int) -> Iterator[tuple[int, dict[bytes, dict[bytes, int]]]]:
-    """Yield ``(m, {degree bytes: {hook bytes: count}})`` for m = 1..n.
+def _grouped_sizes(n: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
+    """Yield ``(m, {degrees: {hooks: count}})`` for m = 1..n.
 
-    Degree bytes count out-degrees ``0..m-1`` and hook bytes count hook
-    lengths ``1..m``; the counts of one size sum to Catalan(m-1).
+    ``degrees`` holds the count of out-degree d in byte d, and ``hooks``
+    the count of hook length h in byte h - 1; ``to_bytes(m, "little")``
+    turns either into the histogram bytes of :func:`signature_counts`.
+    Adding two such ints adds their histograms, since no count reaches
+    256.  The counts of one size sum to Catalan(m-1).
     """
-    # While the tally runs, a signature is one int: the count of out-degree
-    # d sits at bit 16*d and the count of hook length h at bit 16*h - 8, so
-    # adding two ints adds their histograms (counts stay below 256) and a
-    # tree of size m needs about 16*m bits.  Every unordered tree of size
-    # below n is kept, in order of size, as (size, signature, embeddings)
-    # across three lists; upto[s] is how many of them have size <= s.
-    sizes: list[int] = []
-    sigs: list[int] = []
-    embs: list[int] = []
-    upto = [0]
+    # forests[s] maps a degree histogram to (j, hooks, counts): the forests
+    # of j trees and s vertices built from the tree sizes taken so far, as
+    # parallel lists.  A hook histogram may repeat in a list; the tally
+    # sums its counts.
+    forests: list[dict[int, tuple[int, list[int], list[int]]]] = [{0: (0, [0], [1])}]
+    forests += [{} for _ in range(n - 2)]
+    top: dict[int, dict[int, int]] = {}
+    crown = 1 << 8 * (n - 1)  # the hook of the root of a tree of size n
+    for m in range(1, n):
+        # A tree of size m is a root over a forest of j trees and m - 1
+        # vertices: the root adds out-degree j and hook length m.
+        root = 1 << 8 * (m - 1)
+        tally: dict[int, dict[int, int]] = {}
+        _add_roots(tally, ((j, degrees, map(root.__add__, hooks), counts)
+                           for degrees, (j, hooks, counts) in forests[m - 1].items()))
+        yield m, tally
+        # Every forest holding k >= 1 trees of size m, and none larger, is a
+        # block of those k trees and a forest of trees smaller than m.  The
+        # forests of n - 1 vertices are rooted into the top tally at once;
+        # the others are stored, largest s first, so that forests[s - k*m]
+        # still holds only trees smaller than m when it is read.
+        blocks = _blocks(tally, (n - 1) // m)
+        for k in range(1, len(blocks)):
+            _add_roots(top, _products(blocks[k], k, forests[n - 1 - k * m], crown))
+        for s in range(n - 2, m - 1, -1):
+            stored = forests[s]
+            for k in range(1, s // m + 1):
+                for j, degrees, hooks, counts in _products(blocks[k], k, forests[s - k * m], 0):
+                    entry = stored.get(degrees)
+                    if entry is None:
+                        entry = stored[degrees] = (j, [], [])
+                    entry[1].extend(hooks)
+                    entry[2].extend(counts)
+    if n == 1:  # the lone vertex: a root over the empty forest
+        _add_roots(top, [(0, 0, [crown], [1])])
+    del forests  # nothing larger grows from them: free them first
+    yield n, top
 
-    def grow(left: int, top: int, sig: int, emb: int, j: int) -> None:
-        # Children are taken in decreasing index below ``top``, k copies at
-        # a time, so every multiset of subtrees comes up once.
-        # comb(j + k, k) builds j! / prod(mult!) one step at a time.
-        if left == 0:
-            sig += (1 << 16 * j) + root_hook
-            if m < n:
-                sizes.append(m)
-                sigs.append(sig)
-                embs.append(emb)
-            fields = sig.to_bytes(2 * m, "little")
-            degrees = fields[0::2]
-            row = groups.get(degrees)
-            if row is None:
-                row = groups[degrees] = {}
-            hooks = fields[1::2]
-            row[hooks] = row.get(hooks, 0) + emb
-            return
-        for i in range(min(top, upto[left]) - 1, -1, -1):
-            size, child_sig, child_emb = sizes[i], sigs[i], embs[i]
-            k = 1
-            while k * size <= left:
-                grow(left - k * size, i, sig + k * child_sig,
-                     emb * comb(j + k, k) * child_emb**k, j + k)
-                k += 1
 
-    for m in range(1, n + 1):
-        root_hook = 1 << (16 * m - 8)
-        groups: dict[bytes, dict[bytes, int]] = {}
-        grow(m - 1, len(sizes), 0, 1, 0)
-        upto.append(len(sizes))
-        if m == n:  # nothing larger grows from these trees: free them first
-            del sizes[:], sigs[:], embs[:]
-        yield m, groups
-    # grow reaches itself through its closure; breaking that cycle frees the
-    # closure on return instead of at the next full garbage collection.
-    del grow
+def _add_roots(
+    tally: dict[int, dict[int, int]],
+    pieces: Iterable[tuple[int, int, Iterable[int], Iterable[int]]],
+) -> None:
+    """Add a root of out-degree j over each piece ``(j, degrees, hooks,
+    counts)`` of forests and sum the counts into ``tally``; the root's hook
+    is already in the hook keys."""
+    for j, degrees, hooks, counts in pieces:
+        degrees += 1 << 8 * j
+        row = tally.get(degrees)
+        if row is None:
+            row = tally[degrees] = {}
+        get = row.get
+        for key, count in zip(hooks, counts):
+            row[key] = get(key, 0) + count
+
+
+def _products(
+    blocks: dict[int, tuple[list[int], list[int]]],
+    k: int,
+    forests: dict[int, tuple[int, list[int], list[int]]],
+    lift: int,
+) -> Iterator[tuple[int, int, map, map]]:
+    """Every block of k trees before every forest of j trees, as pieces
+    ``(j + k, degrees, hooks, counts)`` with ``lift`` added to each hook key.
+
+    The k trees of a block and the j of a forest interleave in
+    comb(j + k, k) ways.  Each piece shares one degree histogram, and its
+    longer side runs in C through ``map``.
+    """
+    for block_degrees, (block_hooks, block_counts) in blocks.items():
+        for degrees, (j, hooks, counts) in forests.items():
+            ways, degrees = comb(j + k, k), degrees + block_degrees
+            if len(hooks) >= len(block_hooks):
+                for key, count in zip(block_hooks, block_counts):
+                    yield (j + k, degrees, map((key + lift).__add__, hooks),
+                           map((count * ways).__mul__, counts))
+            else:
+                lifted = list(map(lift.__add__, block_hooks)) if lift else block_hooks
+                for key, count in zip(hooks, counts):
+                    yield (j + k, degrees, map(key.__add__, lifted),
+                           map((count * ways).__mul__, block_counts))
+
+
+def _blocks(
+    classes: dict[int, dict[int, int]], most: int
+) -> list[dict[int, tuple[list[int], list[int]]]]:
+    """The blocks of k = 0..most trees drawn from ``classes``: for each k, a
+    degree histogram maps to parallel lists (hooks, counts).
+
+    Taking t trees from a class of count c into a block of k trees gives
+    comb(k, t) * c**t blocks for each block of k - t trees drawn from the
+    classes before it, whichever trees of the class are taken.
+    """
+    blocks: list[dict[int, tuple[list[int], list[int]]]] = [{0: ([0], [1])}]
+    if most == 1:  # the blocks of one tree are the classes: no loop per class
+        return blocks + [{degrees: (list(row), list(row.values()))
+                          for degrees, row in classes.items()}]
+    blocks += [{} for _ in range(most)]
+    for degrees, row in classes.items():
+        for hooks, c in row.items():
+            for k in range(most, 0, -1):
+                for t in range(1, k + 1):
+                    ways, lift = comb(k, t) * c**t, t * hooks
+                    for below_degrees, (below_hooks, below_counts) in blocks[k - t].items():
+                        entry = blocks[k].get(t * degrees + below_degrees)
+                        if entry is None:
+                            entry = blocks[k][t * degrees + below_degrees] = ([], [])
+                        entry[0].extend(map(lift.__add__, below_hooks))
+                        entry[1].extend(map(ways.__mul__, below_counts))
+    return blocks
 
 
 def signature_counts(n: int) -> dict[bytes, int]:
@@ -126,7 +204,7 @@ def signature_counts(n: int) -> dict[bytes, int]:
     for _, groups in _grouped_sizes(n):
         pass
     return {
-        degrees + hooks: count
+        degrees.to_bytes(n, "little") + hooks.to_bytes(n, "little"): count
         for degrees, row in groups.items()
         for hooks, count in row.items()
     }
@@ -142,26 +220,32 @@ class _SizeIndex:
 
     __slots__ = ("rows", "split", "low", "high", "lo", "hi")
 
-    def __init__(self, n: int, groups: dict[bytes, dict[bytes, int]]) -> None:
-        hook_ids: dict[bytes, int] = {}
+    def __init__(self, n: int, groups: dict[int, dict[int, int]]) -> None:
+        hook_ids: dict[int, int] = {}
         self.rows = tuple(
-            (
-                degrees,
-                tuple(hook_ids.setdefault(hooks, len(hook_ids)) for hooks in row),
-                tuple(row.values()),
-            )
+            (degrees.to_bytes(n, "little"), _number(hook_ids, row), tuple(row.values()))
             for degrees, row in groups.items()
         )
         # At n = 12, 13 and 16, summing without a split (k = 0) was 3 to 4
         # times slower; splits from n // 4 to n // 2 came within about a
-        # third of each other, and n // 3 sits between them.
+        # third of each other, and n // 3 sits between them.  The low block
+        # is the first k bytes of a hook histogram, the high block the rest.
         self.split = k = n // 3
-        low_ids: dict[bytes, int] = {}
-        high_ids: dict[bytes, int] = {}
-        self.lo = tuple(low_ids.setdefault(h[:k], len(low_ids)) for h in hook_ids)
-        self.hi = tuple(high_ids.setdefault(h[k:], len(high_ids)) for h in hook_ids)
-        self.low = tuple(low_ids)
-        self.high = tuple(high_ids)
+        low_ids: dict[int, int] = {}
+        high_ids: dict[int, int] = {}
+        self.lo = _number(low_ids, map(((1 << 8 * k) - 1).__and__, hook_ids))
+        self.hi = _number(high_ids, map((8 * k).__rrshift__, hook_ids))
+        self.low = tuple(block.to_bytes(k, "little") for block in low_ids)
+        self.high = tuple(block.to_bytes(n - k, "little") for block in high_ids)
+
+
+def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
+    """The id of each value, numbering values new to ``ids`` 0, 1, 2, ...
+    in order of first appearance.
+
+    Runs in C: ``len(ids)`` is read just before each ``setdefault``.
+    """
+    return tuple(map(ids.setdefault, values, map(len, repeat(ids))))
 
 
 # Indexed tallies by size, filled by one pass for every size up to the one

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from ..errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
@@ -157,22 +156,31 @@ def labellings_recursive(tree: OrderedTree) -> int:
 
 
 def labellings_bruteforce(tree: OrderedTree) -> int:
-    """Try all ``n!`` label assignments and keep the increasing ones.
+    """Build every increasing labelling, label by label, and count them.
 
-    The literal definition and the slowest oracle; guarded at
-    ``BRUTE_FORCE_LIMIT`` vertices.
+    Labels go on in increasing order: label k may take any unlabelled
+    vertex whose parent already carries a label.  Each complete labelling
+    is reached once and counted once.  The literal definition and the
+    slowest oracle; guarded at ``BRUTE_FORCE_LIMIT`` vertices.
     """
     n = tree.size
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitExceeded(
             f"brute-force labelling is limited to {BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
-    parents = _preorder_parents(tree)
-    count = 0
-    for labels in permutations(range(1, n + 1)):
-        if all(labels[parents[v]] < labels[v] for v in range(1, n)):
-            count += 1
-    return count
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, parent in enumerate(_preorder_parents(tree)[1:], start=1):
+        children[parent].append(v)
+
+    def count(ready: list[int]) -> int:
+        # ``ready`` holds the unlabelled vertices whose parents are labelled.
+        if not ready:
+            return 1
+        return sum(
+            count(ready[:i] + ready[i + 1:] + children[v]) for i, v in enumerate(ready)
+        )
+
+    return count([0])
 
 
 def _preorder_parents(tree: OrderedTree) -> list[int]:

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import permutations
 from math import comb, factorial
 from random import Random
 
@@ -26,6 +27,7 @@ from hooktrees.treeoracle import (
     weighted_sum,
 )
 from hooktrees.treeoracle import tally
+from unordered_tally import grouped_sizes
 
 
 def catalan(k):
@@ -105,8 +107,20 @@ class TestEnumeration:
             next(enumerate_trees(0))
 
 
+def as_bytes(m, groups):
+    """One size of ``tally._grouped_sizes`` with its int histograms as the
+    bytes of ``unordered_tally.grouped_sizes``."""
+    return {
+        degrees.to_bytes(m, "little"): {
+            hooks.to_bytes(m, "little"): count for hooks, count in row.items()
+        }
+        for degrees, row in groups.items()
+    }
+
+
 class TestSignatureCounts:
-    """The unordered-tree tally against the literal ordered-tree stream."""
+    """The forest-built tally against the unordered-tree walk it replaced
+    and against the literal ordered-tree stream."""
 
     @staticmethod
     def literal_counts(n):
@@ -128,8 +142,19 @@ class TestSignatureCounts:
         return counts
 
     def test_matches_literal_enumeration(self):
-        for n in range(1, 10):
+        for n in range(1, 12):
             assert signature_counts(n) == self.literal_counts(n), n
+
+    def test_every_pass_matches_unordered_reference(self):
+        # every size of every pass, exactly, against the unordered-tree walk
+        for n in range(1, TALLY_LIMIT + 1):
+            reference = list(grouped_sizes(n))
+            passed = list(tally._grouped_sizes(n))
+            assert [m for m, _ in passed] == list(range(1, n + 1)), n
+            for (m, groups), (_, expected) in zip(passed, reference):
+                assert as_bytes(m, groups) == expected, (n, m)
+                total = sum(sum(row.values()) for row in groups.values())
+                assert total == catalan(m - 1), (n, m)
 
     def test_counts_sum_to_catalan(self):
         for n in range(1, 15):
@@ -320,6 +345,25 @@ class TestWeightedSum:
                 assert weighted_sum(n, fam, rho) == F.coeff(n)
 
 
+def labellings_by_permutations(tree):
+    """Try all ``n!`` label assignments and keep the increasing ones."""
+    parents = [-1]
+
+    def walk(node, index):
+        cursor = index
+        for child in node.children:
+            parents.append(index)
+            cursor = walk(child, cursor + 1)
+        return cursor
+
+    walk(tree, 0)
+    n = tree.size
+    return sum(
+        all(labels[parents[v]] < labels[v] for v in range(1, n))
+        for labels in permutations(range(1, n + 1))
+    )
+
+
 class TestLabellings:
     @pytest.mark.parametrize(
         "word,expected",
@@ -338,6 +382,17 @@ class TestLabellings:
                 assert by_hook.denominator == 1
                 assert by_hook == labellings_recursive(tree)
                 assert by_hook == labellings_bruteforce(tree)
+
+    def test_bruteforce_matches_permutation_filter(self):
+        for n in range(1, 8):
+            for tree in enumerate_trees(n):
+                assert labellings_bruteforce(tree) == labellings_by_permutations(tree), (
+                    format_tree(tree))
+
+    def test_bruteforce_at_its_limit(self):
+        tree = parse_tree("(((()())(()))())")
+        assert tree.size == 8
+        assert labellings_bruteforce(tree) == labellings_by_permutations(tree) == 140
 
     def test_hook_and_recursive_agree_larger(self):
         for n in (7, 8, 9, 10):
