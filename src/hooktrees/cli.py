@@ -37,7 +37,6 @@ from types import SimpleNamespace
 from . import __version__, families, gfparse, hookcalc, treeoracle
 from .errors import DenominatorVanishes, DomainError, HookTreesError
 from .rational import rational_from_string, rational_to_string
-from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -90,7 +89,7 @@ _COMMANDS = {
         *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
     "verify": ("certify the identity by exhaustive enumeration", (
         ("--rho", "rho", str, _REQUIRED, None,
-         "named table (1, 1/n, n) or explicit comma-separated rationals"),
+         "comma-separated rho(1),rho(2),... or an expression in the hook length n"),
         ("--max-n", "max_n", int, _REQUIRED, None,
          f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})"),
         *_PHI_FLAGS, *_OUTPUT_FLAG)),
@@ -260,12 +259,13 @@ def _parse_params(items: list[str]) -> dict:
     return binding
 
 
-def _load_family(args) -> tuple[families.DegreeWeightFamily, TruncatedSeries | None]:
+def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     """The preamble of every command with ``--phi``, in a fixed order: parse
     ``--param``, check the command's own arguments, resolve ``--phi``,
     validate the family up to the largest size the command needs, then
-    parse ``--F`` or ``--G``, refuse a ``--param`` that no expression
-    reads, and evaluate ``--F`` or ``--G`` (None for other commands)."""
+    parse ``--F``, ``--G`` or an expression in ``--rho``, refuse a
+    ``--param`` that no expression reads, and evaluate ``--F`` or ``--G``
+    to a series or ``--rho`` to its table (None for ``series``)."""
     binding = _parse_params(args.param)
     if args.command == "verify":
         size = args.max_n
@@ -298,9 +298,13 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, TruncatedSeries | N
     expression = None if series_text is None else gfparse.parse(series_text)
     if expression is not None:
         read |= gfparse.parameters(expression)
+    if args.command == "verify":
+        read |= hookcalc.HookWeightFunction.spec_parameters(args.rho)
     unread = [name for name in binding if name not in read]
     if unread:
         raise ValueError(f"no expression reads --param {', '.join(map(repr, unread))}")
+    if args.command == "verify":
+        return family, hookcalc.HookWeightFunction.from_spec(args.rho, size, binding)
     series = None if expression is None else gfparse.evaluate(expression, binding, args.order)
     return family, series
 
@@ -390,8 +394,7 @@ def _emit_rho(args, rho: hookcalc.HookWeightFunction) -> None:
 
 
 def _cmd_verify(args) -> int:
-    family, _ = _load_family(args)
-    rho = hookcalc.HookWeightFunction.from_spec(args.rho, args.max_n)
+    family, rho = _load_family(args)
     # both sides are recomputed from scratch on every run: the right side
     # by the coefficient recurrence, the left by exhaustive enumeration
     rhs_series = hookcalc.series_from_rho(rho, family, args.max_n)

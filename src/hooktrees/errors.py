@@ -84,7 +84,11 @@ class UnboundParameter(EvaluationError):
 
 
 class NonConstantExponent(EvaluationError):
-    """An exponent does not evaluate to a rational constant."""
+    """An exponent or another constant does not evaluate to a rational."""
+
+
+class UndefinedConstant(NonConstantExponent):
+    """A constant divides by zero or raises zero to a negative power."""
 
 
 # --- families ----------------------------------------------------------------
@@ -99,12 +103,12 @@ class DenominatorVanishes(HookTreesError):
     """The defining quotient for rho(n) has a vanishing denominator.
 
     The weight function is simply undefined at that index; ``index``
-    records the offending n.
+    records the offending n, and ``cause`` says what vanishes.
     """
 
-    def __init__(self, index: int, detail: str = ""):
+    def __init__(self, index: int, detail: str = "", cause: str = ""):
         self.index = index
-        message = f"rho({index}) is undefined: denominator coefficient vanishes"
+        message = f"rho({index}) is undefined: {cause or 'denominator coefficient vanishes'}"
         if detail:
             message += f" ({detail})"
         super().__init__(message)

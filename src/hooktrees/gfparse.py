@@ -57,6 +57,7 @@ from .errors import (
     ParseError,
     SeriesError,
     UnboundParameter,
+    UndefinedConstant,
     UnknownFunction,
     ZeroConstantTerm,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "OnlineSeries",
     "parse",
     "parameters",
+    "const_eval",
     "evaluate",
 ]
 
@@ -366,8 +368,8 @@ def _bound(node: Parameter, binding: ParamBinding) -> Fraction:
 def _power(base: Fraction, e: Fraction, span: tuple[int, int]) -> Fraction | None:
     """``base ** e``, or None when that is not rational.
 
-    Raises :class:`NonConstantExponent` for zero to a negative power and
-    for a result of more than about ``MAX_POWER_BITS`` bits.
+    Raises for zero to a negative power and for a result of more than
+    about ``MAX_POWER_BITS`` bits.
     """
     if e.denominator != 1:
         base = rational_root(base, e.denominator)
@@ -375,7 +377,7 @@ def _power(base: Fraction, e: Fraction, span: tuple[int, int]) -> Fraction | Non
             return None
     k = e.numerator
     if k < 0 and base == 0:
-        raise NonConstantExponent("zero raised to a negative power", span)
+        raise UndefinedConstant("zero raised to a negative power", span)
     bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
     if abs(k) * bits > MAX_POWER_BITS:
         raise NonConstantExponent(
@@ -391,37 +393,38 @@ def _check_exponent(e: Fraction, span: tuple[int, int]) -> None:
         )
 
 
-def _const_eval(node: GfExpr, binding: ParamBinding) -> Fraction:
-    """Evaluate an exponent subtree to an exact rational."""
+def const_eval(node: GfExpr, binding: ParamBinding, where: str = "in an exponent") -> Fraction:
+    """Evaluate a subtree without ``t``, ``exp`` or ``log`` to an exact
+    rational; ``where`` places the subtree in error messages.  Raises
+    :class:`UndefinedConstant` for a division by zero."""
     if isinstance(node, RationalLiteral):
         return node.value
     if isinstance(node, Parameter):
         return _bound(node, binding)
     if isinstance(node, Variable):
-        raise NonConstantExponent("the variable t may not appear in an exponent", node.span)
-    if isinstance(node, Add):
-        return _const_eval(node.left, binding) + _const_eval(node.right, binding)
-    if isinstance(node, Sub):
-        return _const_eval(node.left, binding) - _const_eval(node.right, binding)
-    if isinstance(node, Mul):
-        return _const_eval(node.left, binding) * _const_eval(node.right, binding)
-    if isinstance(node, Div):
-        divisor = _const_eval(node.right, binding)
-        if divisor == 0:
-            raise NonConstantExponent("division by zero in an exponent", node.span)
-        return _const_eval(node.left, binding) / divisor
+        raise NonConstantExponent(f"the variable t may not appear {where}", node.span)
     if isinstance(node, Pow):
         value = _power(
-            _const_eval(node.base, binding), _const_eval(node.exponent, binding), node.span
+            const_eval(node.base, binding, where),
+            const_eval(node.exponent, binding, where),
+            node.span,
         )
         if value is None:
-            raise NonConstantExponent(
-                "exponent does not evaluate to a rational", node.span
-            )
+            raise NonConstantExponent(f"a power {where} is not rational", node.span)
         return value
-    raise NonConstantExponent(
-        "exp/log are not allowed inside an exponent", node.span
-    )
+    if not isinstance(node, (Add, Sub, Mul, Div)):
+        raise NonConstantExponent(f"exp/log are not allowed {where}", node.span)
+    left = const_eval(node.left, binding, where)
+    right = const_eval(node.right, binding, where)
+    if isinstance(node, Add):
+        return left + right
+    if isinstance(node, Sub):
+        return left - right
+    if isinstance(node, Mul):
+        return left * right
+    if right == 0:
+        raise UndefinedConstant(f"division by zero {where}", node.span)
+    return left / right
 
 
 # --- online evaluation -------------------------------------------------------------------
@@ -724,7 +727,7 @@ class OnlineSeries:
         return self._add(_Div(left, right))
 
     def _compile_pow(self, node: Pow) -> _Node:
-        e = _const_eval(node.exponent, self._binding)
+        e = const_eval(node.exponent, self._binding)
         base = self._compile(node.base)
         b0 = base.c[0]
         if e == 0:

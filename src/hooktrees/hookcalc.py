@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from . import gfparse
 from ._record import Record
 from .errors import (
     ConstantMismatch,
@@ -45,6 +46,7 @@ from .errors import (
     NotInvertible,
     OrderExceeded,
     RhoRangeExceeded,
+    UndefinedConstant,
 )
 from .families import DegreeWeightFamily
 from .rational import as_rational, rational_from_string, rational_to_string
@@ -89,32 +91,33 @@ class HookWeightFunction(Record):
         return [rational_to_string(v) for v in self.values]
 
     @classmethod
-    def named(cls, name: str, size: int) -> "HookWeightFunction":
-        """The builtin tables ``1``, ``1/n`` and ``n``."""
-        if size < 1:
-            raise ValueError("table size must be at least 1")
-        if name == "1":
-            values = [Fraction(1)] * size
-        elif name == "1/n":
-            values = [Fraction(1, n) for n in range(1, size + 1)]
-        elif name == "n":
-            values = [Fraction(n) for n in range(1, size + 1)]
-        else:
-            raise ValueError(f"unknown named weight table {name!r}")
-        return cls(tuple(values))
+    def from_spec(cls, text: str, size: int, binding=None) -> "HookWeightFunction":
+        """CLI form: comma-separated rationals, or one :mod:`gfparse`
+        expression in the hook length ``n`` evaluated at n = 1..size, its
+        other parameters bound by ``binding``.  A division by zero at some
+        n raises :class:`DenominatorVanishes` for that n."""
+        if "," in text:
+            values = tuple(rational_from_string(v) for v in text.split(","))
+            if len(values) < size:
+                raise ValueError(
+                    f"explicit rho table has {len(values)} entries, need {size}"
+                )
+            return cls(values[:size])
+        expression = gfparse.parse(text)
+        binding = dict(binding or {})
+        values = []
+        for n in range(1, size + 1):
+            binding["n"] = n
+            try:
+                values.append(gfparse.const_eval(expression, binding, "in --rho"))
+            except UndefinedConstant as err:
+                raise DenominatorVanishes(n, cause=str(err)) from None
+        return cls(values)
 
-    @classmethod
-    def from_spec(cls, text: str, size: int) -> "HookWeightFunction":
-        """CLI form: a named table or comma-separated explicit values."""
-        text = text.strip()
-        if text in ("1", "1/n", "n"):
-            return cls.named(text, size)
-        values = tuple(rational_from_string(v) for v in text.split(","))
-        if len(values) < size:
-            raise ValueError(
-                f"explicit rho table has {len(values)} entries, need {size}"
-            )
-        return cls(values[:size])
+    @staticmethod
+    def spec_parameters(text: str) -> set[str]:
+        """The parameters that :meth:`from_spec` reads from ``text``."""
+        return set() if "," in text else gfparse.parameters(gfparse.parse(text)) - {"n"}
 
 
 # --- the triangular walk -------------------------------------------------------------

@@ -60,8 +60,8 @@ def family_grid():
 def rho_grid(size):
     rng = random.Random(SEED)
     return [
-        HookWeightFunction.named("1", size),
-        HookWeightFunction.named("1/n", size),
+        HookWeightFunction.from_spec("1", size),
+        HookWeightFunction.from_spec("1/n", size),
         HookWeightFunction(
             tuple(Q(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(size))
         ),
@@ -117,7 +117,7 @@ def test_c4_alpha_family_closed_forms():
         for n in range(1, 16):
             assert alpha_family_count(alpha, n) == factorial(n) * closed.coeff(n)
         rho = rho_from_series(closed, family, 15)
-        assert rho == HookWeightFunction.named("1/n", 15), alpha
+        assert rho == HookWeightFunction.from_spec("1/n", 15), alpha
     report("4 alpha family: ODE = closed form, counts match, rho = 1/n")
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -142,18 +143,6 @@ class TestRhoCommand:
             "([z^2] phi(F) = 0)\n"
         )
 
-    @pytest.mark.parametrize("model", ["sg", "inc"])
-    def test_vanishing_denominator_from_model_exits_3(self, capsys, model):
-        # 1 + F^2 has no z^1 term, since F(0) = 0
-        code, out, err = run_cli(
-            capsys, "rho", "--phi", "1+t^2", "--from-model", model, "--order", "4"
-        )
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: rho(2) is undefined: denominator coefficient vanishes "
-            "([z^1] phi(F) = 0)\n"
-        )
-
     @pytest.mark.parametrize("order", [2, 7, 30])
     def test_from_model_walks_phi_of_F_once(self, capsys, monkeypatch, order):
         # validate expands phi to degree N: N extends; the walk that solves
@@ -286,6 +275,47 @@ class TestVerifyCommand:
         assert code == 2
         assert "max-n" in err
 
+    def test_postnikov_from_an_expression(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--phi", "binary", "--rho", "1+1/n", "--max-n", "12"
+        )
+        assert code == 0
+        postnikov = [Fraction(2**n * (n + 1) ** (n - 1), factorial(n)) for n in range(1, 13)]
+        assert out.splitlines() == [
+            f"n={n} lhs={v} rhs={v} equal=true" for n, v in enumerate(postnikov, 1)
+        ]
+
+    def test_param_read_by_rho_only(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--phi", "binary", "--rho", "x+1/n", "--param", "x=-3/7",
+            "--max-n", "12",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("equal=true") == 12
+
+    def test_n_in_rho_is_the_hook_length(self, capsys):
+        # --param n binds the n of --phi only
+        bound = run_cli(
+            capsys, "verify", "--phi", "(1+t)^n", "--param", "n=2", "--rho", "n",
+            "--max-n", "6",
+        )
+        assert bound == run_cli(
+            capsys, "verify", "--phi", "binary", "--rho", "1,2,3,4,5,6", "--max-n", "6"
+        )
+        assert bound[0] == 0
+
+    @pytest.mark.parametrize("output", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("text, table", [
+        ("1", "1,1,1,1,1,1,1,1"),
+        ("1/n", "1,1/2,1/3,1/4,1/5,1/6,1/7,1/8"),
+        ("n", "1,2,3,4,5,6,7,8"),
+    ])
+    def test_expression_prints_the_bytes_of_its_table(self, capsys, output, text, table):
+        argv = ("verify", "--phi", "yang:1/2,3", "--max-n", "8", "--output", output)
+        expression = run_cli(capsys, *argv, "--rho", text)
+        assert expression == run_cli(capsys, *argv, "--rho", table)
+        assert expression[0] == 0
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--phi", "binary", "--rho", "1", "--max-n", "2",
@@ -391,7 +421,8 @@ class TestContract:
 
 
 class TestInputBounds:
-    """Each bounded resource and each bad rational exits 2 with one line."""
+    """Each bounded resource and each bad rational exits 2 with one line; an
+    undefined rho(h) exits 3 with one line that names h."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -429,6 +460,21 @@ class TestInputBounds:
              "no expression reads --param 'k'"),
             (["series", "--model", "sg", "--phi", "1+a*t^2", "--param", "a=1",
               "--param", "b=5", "--order", "3"], "no expression reads --param 'b'\n"),
+            (["verify", "--phi", "binary", "--rho", "x+1/n", "--param", "x=1",
+              "--param", "y=2", "--max-n", "3"], "no expression reads --param 'y'\n"),
+            # in --rho, n is the hook length and never a parameter
+            (["verify", "--phi", "binary", "--rho", "n", "--param", "n=5", "--max-n", "3"],
+             "no expression reads --param 'n'\n"),
+            (["verify", "--phi", "plane", "--rho", "n^(1/2)", "--max-n", "4"],
+             "a power in --rho is not rational"),
+            (["verify", "--phi", "plane", "--rho", "1+t", "--max-n", "4"],
+             "the variable t may not appear in --rho"),
+            (["verify", "--phi", "plane", "--rho", "exp(n)", "--max-n", "4"],
+             "exp/log are not allowed in --rho"),
+            (["verify", "--phi", "plane", "--rho", "log(n)", "--max-n", "4"],
+             "exp/log are not allowed in --rho"),
+            (["verify", "--phi", "plane", "--rho", "n^(10^9)", "--max-n", "4"],
+             "too large"),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):
@@ -436,6 +482,24 @@ class TestInputBounds:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            # 1 + F^2 has no z^1 term, since F(0) = 0
+            (["rho", "--phi", "1+t^2", "--from-model", "sg", "--order", "4"],
+             "rho(2) is undefined: denominator coefficient vanishes ([z^1] phi(F) = 0)"),
+            (["rho", "--phi", "1+t^2", "--from-model", "inc", "--order", "4"],
+             "rho(2) is undefined: denominator coefficient vanishes ([z^1] phi(F) = 0)"),
+            (["verify", "--phi", "plane", "--rho", "1/(n-2)", "--max-n", "4"],
+             "rho(2) is undefined: division by zero in --rho (at offsets 0..6)"),
+            (["verify", "--phi", "binary", "--rho", "x+(n-3)^(-1)", "--param", "x=1",
+              "--max-n", "5"],
+             "rho(3) is undefined: zero raised to a negative power (at offsets 3..11)"),
+        ],
+    )
+    def test_undefined_rho_exits_3_with_one_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {line}\n")
 
     def test_deepest_tree_and_largest_order_still_run(self, capsys):
         depth = treeoracle.MAX_TREE_DEPTH

@@ -26,8 +26,9 @@ BAD_EXPRESSIONS = ["", "(", "1+", "t^t", "2t", "sin(t)", "1/0", "é", "t^(1/2)",
                    "log(t)", "exp(1)", "t^-1"]
 BINDINGS = [["a=1/2", "b=2"], ["a=2", "b=-1/3"], ["a=-1", "b=3"]]
 BAD_BINDINGS = [["a=0", "b=1"], ["a=1/0"], ["a"], ["a=x"], ["1=2"], ["a=1", "a=2"], [], ["t=1"]]
-RHO_SPECS = ["1", "1/n", "n", "1,1/2,1/3,1/4,1/5,1/6", "1,0,2,1,1,1,1", "2,-1,3,1/2,1,7"]
-BAD_RHO_SPECS = ["2,-1", "x", "1,1/0", ""]
+RHO_SPECS = ["1", "1/n", "n", "a+1/n", "1/(n*2^(n-1))", "1,1/2,1/3,1/4,1/5,1/6",
+             "1,0,2,1,1,1,1", "2,-1,3,1/2,1,7"]
+BAD_RHO_SPECS = ["2,-1", "x", "1,1/0", "", "1/(n-2)", "n^(1/2)", "t", "1,"]
 BAD_TREES = ["", "(", ")(", "(()", "(x)", "()()"]
 # each is an error for every command: an unknown flag, a non-integer, a
 # bad choice, an ambiguous or unknown prefix, a stray positional, a value
@@ -106,7 +107,7 @@ def argvs(draw):
     if command != "labellings":
         if binding in BINDINGS:  # a good binding binds only the names read
             read = set().union(*(reads(a.partition("=")[2]) for a in argv
-                                 if a.startswith(("--phi=", "--F=", "--G="))))
+                                 if a.startswith(("--phi=", "--F=", "--G=", "--rho="))))
             binding = [p for p in binding if p.partition("=")[0] in read]
         argv += ["--param=" + p for p in binding]
     argv += draw(st.sampled_from([[], ["--output=plain"], ["--output=json"], ["--output=csv"]]))
@@ -114,8 +115,9 @@ def argvs(draw):
 
 
 def reads(text):
-    """The parameter names an argument text reads; a builtin spec reads none."""
-    if text.partition(":")[0] in families.BUILTIN_NAMES:
+    """The parameter names an argument text reads; a builtin spec and a
+    comma table read none."""
+    if text.partition(":")[0] in families.BUILTIN_NAMES or "," in text:
         return set()
     return set(re.findall(r"[A-Za-z_]\w*", text)) - {"t", "exp", "log"}
 

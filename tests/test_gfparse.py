@@ -13,6 +13,7 @@ from hooktrees.errors import (
     NonzeroConstantTerm,
     ParseError,
     UnboundParameter,
+    UndefinedConstant,
     UnknownFunction,
     ZeroConstantTerm,
 )
@@ -248,7 +249,7 @@ class TestEvaluate:
             evaluate(parse("(1+s*t)^m"), {"s": Q(1)}, 4)
 
     def test_variable_in_exponent_rejected(self):
-        with pytest.raises(NonConstantExponent):
+        with pytest.raises(NonConstantExponent, match="t may not appear in an exponent"):
             evaluate(parse("2^t"), {}, 4)
 
     def test_irrational_constant_exponent_rejected(self):
@@ -294,7 +295,8 @@ class TestEvaluationErrors:
             ("2^t", {}, NonConstantExponent, (2, 3)),
             ("t^(2^(1/2))", {}, NonConstantExponent, (3, 9)),
             ("t^exp(t)", {}, NonConstantExponent, (2, 8)),
-            ("t^(1/(1-1))", {}, NonConstantExponent, (3, 9)),
+            ("t^(1/(1-1))", {}, UndefinedConstant, (3, 9)),
+            ("t^(0^(-1))", {}, UndefinedConstant, (3, 8)),
         ],
     )
     def test_error_class_and_span(self, text, binding, error, span):

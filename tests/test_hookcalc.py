@@ -9,9 +9,11 @@ from hooktrees.errors import (
     ConstantMismatch,
     DenominatorVanishes,
     DomainError,
+    NonConstantExponent,
     NotInvertible,
     OrderExceeded,
     RhoRangeExceeded,
+    UndefinedConstant,
 )
 from hooktrees.hookcalc import (
     HookWeightFunction,
@@ -107,7 +109,7 @@ class TestOnlineSolverMatchesComposeReference:
             (solve_simply_generated, lambda n: 1),
             (solve_increasing, lambda n: Q(1, n)),
             (lambda f, o: series_from_rho(table, f, o), table),
-            (lambda f, o: series_from_rho(HookWeightFunction.named("n", o), f, o),
+            (lambda f, o: series_from_rho(HookWeightFunction.from_spec("n", o), f, o),
              lambda n: n),
         ]
         for solver, weight in cases:
@@ -148,16 +150,43 @@ class TestOnlineSolverMatchesComposeReference:
 
 
 class TestHookWeightFunction:
-    def test_named_inverse_table_identity(self):
-        rho = HookWeightFunction.named("1/n", 20)
+    def test_inverse_table_identity(self):
+        rho = HookWeightFunction.from_spec("1/n", 20)
         assert all(rho(n) * n == 1 for n in range(1, 21))
 
-    def test_named_tables(self):
-        assert HookWeightFunction.named("1", 3).values == (1, 1, 1)
-        assert HookWeightFunction.named("n", 3).values == (1, 2, 3)
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_expressions_equal_literal_tables(self, size):
+        hooks = range(1, size + 1)
+        for text, values in (("1", [1] * size), ("1/n", [Q(1, h) for h in hooks]),
+                             ("n", list(hooks))):
+            rho = HookWeightFunction.from_spec(text, size)
+            assert rho == HookWeightFunction(values)
+            assert rho.to_strings() == HookWeightFunction(values).to_strings()
+
+    def test_expression_in_n_with_parameters(self):
+        rho = HookWeightFunction.from_spec("x + 1/(n*2^(n-1))", 4, {"x": Q(-3, 7)})
+        assert rho.values == tuple(Q(-3, 7) + Q(1, h * 2 ** (h - 1)) for h in range(1, 5))
+        # n is always the hook length: a binding of n does not reach it
+        assert HookWeightFunction.from_spec("n", 3, {"n": Q(5)}).values == (1, 2, 3)
+        assert HookWeightFunction.spec_parameters("x + 1/(n*2^(n-1))") == {"x"}
+        assert HookWeightFunction.spec_parameters("x,1/2") == set()
+
+    @pytest.mark.parametrize("text, index", [("1/(n-2)", 2), ("(n-3)^(-1)", 3), ("0^(n-4)", 1)])
+    def test_undefined_value_names_its_hook(self, text, index):
+        with pytest.raises(DenominatorVanishes) as info:
+            HookWeightFunction.from_spec(text, 5)
+        assert info.value.index == index
+        assert str(info.value).startswith(f"rho({index}) is undefined: ")
+
+    @pytest.mark.parametrize("text", ["n^(1/2)", "t", "exp(n)", "log(n)"])
+    def test_non_rational_value_names_rho(self, text):
+        with pytest.raises(NonConstantExponent, match="in --rho") as info:
+            HookWeightFunction.from_spec(text, 4)
+        assert not isinstance(info.value, UndefinedConstant)
+        assert "exponent" not in str(info.value)
 
     def test_out_of_range(self):
-        rho = HookWeightFunction.named("1", 4)
+        rho = HookWeightFunction.from_spec("1", 4)
         with pytest.raises(RhoRangeExceeded):
             rho(5)
         with pytest.raises(RhoRangeExceeded):
@@ -184,7 +213,7 @@ class TestHookWeightFunction:
         assert len({table, HookWeightFunction.from_spec("1,1/2", 2)}) == 1
 
     def test_immutable(self):
-        table = HookWeightFunction.named("1", 3)
+        table = HookWeightFunction.from_spec("1", 3)
         with pytest.raises(AttributeError):
             table.values = (Q(2),)
         with pytest.raises(AttributeError):
@@ -194,8 +223,10 @@ class TestHookWeightFunction:
             "HookWeightFunction(values=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)))"
         )
 
-    def test_from_spec_named_and_explicit(self):
-        assert HookWeightFunction.from_spec("1/n", 4) == HookWeightFunction.named("1/n", 4)
+    def test_from_spec_expression_and_explicit(self):
+        assert HookWeightFunction.from_spec("1/n", 4) == HookWeightFunction.from_spec(
+            "1,1/2,1/3,1/4", 4
+        )
         explicit = HookWeightFunction.from_spec("1,1/2,3", 3)
         assert explicit.values == (1, Q(1, 2), 3)
         with pytest.raises(ValueError):
@@ -206,7 +237,7 @@ class TestSimplyGenerated:
     def test_binary_counts_trees(self):
         got = solve_simply_generated(families.from_spec("binary"), 7)
         # independent check: weighted enumeration, then the Catalan formula
-        rho_one = HookWeightFunction.named("1", 7)
+        rho_one = HookWeightFunction.from_spec("1", 7)
         from hooktrees.treeoracle import weighted_sum
 
         for n in range(1, 8):
@@ -277,11 +308,11 @@ class TestRhoFromSeries:
             F = alpha_family_series(alpha, 12)
             family = families.from_spec(f"polyalpha:{rational_to_string(alpha)}")
             rho = rho_from_series(F, family, 12)
-            assert rho == HookWeightFunction.named("1/n", 12)
+            assert rho == HookWeightFunction.from_spec("1/n", 12)
 
     def test_log_geometric_under_labelled(self):
         rho = rho_from_series(log(geometric(10)), families.from_spec("labelled"), 10)
-        assert rho == HookWeightFunction.named("1/n", 10)
+        assert rho == HookWeightFunction.from_spec("1/n", 10)
 
     def test_requires_zero_constant(self):
         with pytest.raises(ValueError):
@@ -303,13 +334,13 @@ class TestRhoFromSeries:
 class TestSeriesFromRho:
     def test_all_ones_matches_fixed_point(self):
         got = series_from_rho(
-            HookWeightFunction.named("1", 8), families.from_spec("binary"), 8
+            HookWeightFunction.from_spec("1", 8), families.from_spec("binary"), 8
         )
         assert got == solve_simply_generated(families.from_spec("binary"), 8)
 
     def test_inverse_hooks_match_ode(self):
         got = series_from_rho(
-            HookWeightFunction.named("1/n", 8), families.from_spec("binary"), 8
+            HookWeightFunction.from_spec("1/n", 8), families.from_spec("binary"), 8
         )
         assert got == solve_increasing(families.from_spec("binary"), 8)
         assert got.coefficients == (0, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -329,9 +360,9 @@ class TestSeriesFromRho:
         rng = random.Random(1729)
         upto = 16
         tables = {
-            "1": HookWeightFunction.named("1", upto),
-            "1/n": HookWeightFunction.named("1/n", upto),
-            "n": HookWeightFunction.named("n", upto),
+            "1": HookWeightFunction.from_spec("1", upto),
+            "1/n": HookWeightFunction.from_spec("1/n", upto),
+            "n": HookWeightFunction.from_spec("n", upto),
             "random": HookWeightFunction(
                 tuple(Q(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(upto))
             ),
@@ -346,7 +377,7 @@ class TestSeriesFromRho:
 class TestBinaryRho:
     def test_epgf_with_inverse_hooks(self):
         F = TruncatedSeries([0] + [1] * 10)  # z/(1-z)
-        assert binary_rho(F, 10) == HookWeightFunction.named("1/n", 10)
+        assert binary_rho(F, 10) == HookWeightFunction.from_spec("1/n", 10)
 
     def test_catalan_gives_all_ones(self):
         F = solve_simply_generated(families.from_spec("binary"), 10)
@@ -375,7 +406,7 @@ class TestRhoFromForest:
 
     def test_labelled_log_inverse(self):
         rho = rho_from_forest(geometric(10), families.from_spec("labelled"), 10)
-        assert rho == HookWeightFunction.named("1/n", 10)
+        assert rho == HookWeightFunction.from_spec("1/n", 10)
 
     def test_agrees_with_tree_form(self):
         rng = random.Random(31337)

@@ -175,7 +175,7 @@ class TestSignatureCounts:
 
     def test_size_edges(self):
         fam = families.from_spec("plane")
-        rho = HookWeightFunction.named("1", TALLY_LIMIT + 1)
+        rho = HookWeightFunction.from_spec("1", TALLY_LIMIT + 1)
         with pytest.raises(ValueError):
             signature_counts(0)
         with pytest.raises(ValueError):
@@ -225,15 +225,15 @@ class TestHookWeights:
         assert tree_weight_hook(LEAF, rho) == Q(7, 3)
 
     def test_path_inverse_hooks(self):
-        rho = HookWeightFunction.named("1/n", 3)
+        rho = HookWeightFunction.from_spec("1/n", 3)
         assert tree_weight_hook(parse_tree("((()))"), rho) == Q(1, 6)
 
     def test_cherry_inverse_hooks(self):
-        rho = HookWeightFunction.named("1/n", 3)
+        rho = HookWeightFunction.from_spec("1/n", 3)
         assert tree_weight_hook(parse_tree("(()())"), rho) == Q(1, 3)
 
     def test_table_too_short(self):
-        rho = HookWeightFunction.named("1", 2)
+        rho = HookWeightFunction.from_spec("1", 2)
         with pytest.raises(RhoRangeExceeded):
             tree_weight_hook(parse_tree("((()))"), rho)
 
@@ -241,13 +241,13 @@ class TestHookWeights:
 class TestWeightedSum:
     def test_binary_with_inverse_hooks_is_one(self):
         fam = families.from_spec("binary")
-        rho = HookWeightFunction.named("1/n", 8)
+        rho = HookWeightFunction.from_spec("1/n", 8)
         for n in range(1, 9):
             assert weighted_sum(n, fam, rho) == 1
 
     def test_plane_unweighted_counts_trees(self):
         fam = families.from_spec("plane")
-        rho = HookWeightFunction.named("1", 8)
+        rho = HookWeightFunction.from_spec("1", 8)
         for n in range(1, 9):
             assert weighted_sum(n, fam, rho) == catalan(n - 1)
 
@@ -289,7 +289,7 @@ class TestWeightedSum:
                          "polyalpha:1/2")
         ]
         cases += [
-            (families.from_spec("labelled"), HookWeightFunction.named(name, 14))
+            (families.from_spec("labelled"), HookWeightFunction.from_spec(name, 14))
             for name in ("1", "1/n", "n")
         ]
         cases += [
@@ -313,7 +313,7 @@ class TestWeightedSum:
     def test_one_pass_indexes_every_size(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
         plane = families.from_spec("plane")
-        weighted_sum(TALLY_LIMIT, plane, HookWeightFunction.named("1", TALLY_LIMIT))
+        weighted_sum(TALLY_LIMIT, plane, HookWeightFunction.from_spec("1", TALLY_LIMIT))
         assert sorted(tally._indexed) == list(range(1, TALLY_LIMIT + 1))
         for m, index in tally._indexed.items():
             flat = {}
@@ -326,7 +326,7 @@ class TestWeightedSum:
 
     def test_rho_table_too_short(self):
         with pytest.raises(RhoRangeExceeded):
-            weighted_sum(4, families.from_spec("plane"), HookWeightFunction.named("1", 3))
+            weighted_sum(4, families.from_spec("plane"), HookWeightFunction.from_spec("1", 3))
 
     def test_derived_rho_reproduces_its_source_series(self):
         # central identity, third leg: derive rho from an arbitrary series,
