@@ -35,7 +35,14 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
-from .errors import DenominatorVanishes, DomainError, HookTreesError
+from .errors import (
+    DenominatorVanishes,
+    DomainError,
+    EvaluationError,
+    HookTreesError,
+    ParseError,
+    SeriesError,
+)
 from .rational import rational_from_string, rational_to_string
 
 EXIT_OK = 0
@@ -259,6 +266,16 @@ def _parse_params(items: list[str]) -> dict:
     return binding
 
 
+def _read_flag(flag: str, read, *args):
+    """``read(*args)``, where ``read`` reads the text of ``flag``; an
+    expression error it raises keeps its type and names the flag."""
+    try:
+        return read(*args)
+    except (ParseError, EvaluationError, SeriesError) as err:
+        err.args = (f"{flag}: {err}",)
+        raise
+
+
 def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     """The preamble of every command with ``--phi``, in a fixed order: parse
     ``--param``, check the command's own arguments, resolve ``--phi``,
@@ -284,7 +301,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
         family = families.from_spec(text)
         read = set()
     else:
-        family = families.from_expression(args.phi, binding)
+        family = _read_flag("--phi", families.from_expression, args.phi, binding)
         read = gfparse.parameters(family.expression)
     report = family.validate(max(size, 2))
     for warning in report.warnings:
@@ -294,19 +311,24 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
             f"{family.name}: {'; '.join(report.violations)} "
             "(use --allow-degenerate to run anyway)"
         )
-    series_text = getattr(args, "expr", None)  # --F or --G
-    expression = None if series_text is None else gfparse.parse(series_text)
-    if expression is not None:
+    series_text = getattr(args, "expr", None)
+    series_flag = "--G" if args.command == "rho-forest" else "--F"
+    expression = None
+    if series_text is not None:
+        expression = _read_flag(series_flag, gfparse.parse, series_text)
         read |= gfparse.parameters(expression)
     if args.command == "verify":
-        read |= hookcalc.HookWeightFunction.spec_parameters(args.rho)
+        read |= _read_flag("--rho", hookcalc.HookWeightFunction.spec_parameters, args.rho)
     unread = [name for name in binding if name not in read]
     if unread:
         raise ValueError(f"no expression reads --param {', '.join(map(repr, unread))}")
     if args.command == "verify":
-        return family, hookcalc.HookWeightFunction.from_spec(args.rho, size, binding)
-    series = None if expression is None else gfparse.evaluate(expression, binding, args.order)
-    return family, series
+        return family, _read_flag(
+            "--rho", hookcalc.HookWeightFunction.from_spec, args.rho, size, binding
+        )
+    if expression is None:
+        return family, None
+    return family, _read_flag(series_flag, gfparse.evaluate, expression, binding, args.order)
 
 
 def _json_object(payload: dict) -> str:
@@ -323,7 +345,7 @@ def _json_object(payload: dict) -> str:
     return "{" + ", ".join(items) + "}"
 
 
-def _emit_table(args, payload: dict | list, csv_rows: list[list[str]], plain: list[str]) -> None:
+def _emit_table(args, payload: dict | list, csv_rows: list, plain: list[str]) -> None:
     """A list ``payload`` prints as one JSON object per line."""
     if args.output == "json":
         for item in payload if isinstance(payload, list) else [payload]:
@@ -440,26 +462,18 @@ def _cmd_labellings(args) -> int:
         "bruteforce": by_brute,
         "agree": agree,
     }
-    plain = [
-        f"tree {payload['tree']}",
-        f"n {tree.size}",
-        "hooks " + " ".join(str(h) for h in hooks),
-        f"hook-formula {hook_str}",
-        f"recursive {recursive_str}",
-        f"bruteforce {brute_str or 'skipped'}",
-        f"agree {'true' if agree else 'false'}",
+    fields = [
+        ("tree", payload["tree"]),
+        ("n", str(tree.size)),
+        ("hooks", " ".join(str(h) for h in hooks)),
+        ("hook-formula", hook_str),
+        ("recursive", recursive_str),
+        ("bruteforce", brute_str),
+        ("agree", "true" if agree else "false"),
     ]
-    rows = [
-        ["field", "value"],
-        ["tree", payload["tree"]],
-        ["n", str(tree.size)],
-        ["hooks", " ".join(str(h) for h in hooks)],
-        ["hook-formula", hook_str],
-        ["recursive", recursive_str],
-        ["bruteforce", brute_str],
-        ["agree", "true" if agree else "false"],
-    ]
-    _emit_table(args, payload, rows, plain)
+    # only bruteforce can be empty: plain says so, csv leaves the cell blank
+    plain = [f"{field} {text or 'skipped'}" for field, text in fields]
+    _emit_table(args, payload, [("field", "value"), *fields], plain)
     return EXIT_OK if agree else EXIT_FALSIFIED
 
 

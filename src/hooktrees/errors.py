@@ -7,16 +7,25 @@ class HookTreesError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- truncated series -------------------------------------------------------
+class _SpannedError(HookTreesError):
+    """An error that may point into an expression's text.
 
-class SeriesError(HookTreesError):
-    """Base class for series-arithmetic errors.
-
-    ``span`` is filled in by the expression evaluator when the failing
-    operation came from a parsed expression; it is ``None`` otherwise.
+    ``span`` holds the offsets of the failing subtree when the error
+    came from a parsed expression, and the message ends with them; it is
+    ``None`` otherwise.
     """
 
-    span: tuple[int, int] | None = None
+    def __init__(self, message: str, span: tuple[int, int] | None = None):
+        self.span = span
+        if span is not None:
+            message = f"{message} (at offsets {span[0]}..{span[1]})"
+        super().__init__(message)
+
+
+# --- truncated series -------------------------------------------------------
+
+class SeriesError(_SpannedError):
+    """Base class for series-arithmetic errors."""
 
 
 class ZeroConstantTerm(SeriesError):
@@ -69,14 +78,8 @@ class UnknownFunction(ParseError):
         super().__init__(f"unknown function {name!r}", offset, frozenset({"exp", "log"}))
 
 
-class EvaluationError(HookTreesError):
+class EvaluationError(_SpannedError):
     """Expression is grammatical but cannot be evaluated."""
-
-    def __init__(self, message: str, span: tuple[int, int] | None = None):
-        self.span = span
-        if span is not None:
-            message = f"{message} (at offsets {span[0]}..{span[1]})"
-        super().__init__(message)
 
 
 class UnboundParameter(EvaluationError):

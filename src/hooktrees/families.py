@@ -86,13 +86,6 @@ class DegreeWeightFamily:
             raise ValueError("out-degree must be non-negative")
         return self._coefficients(k)[k]
 
-    def tree_weight_deg(self, tree: "OrderedTree") -> Fraction:
-        """Product of ``phi_{d(v)}`` over all vertices of ``tree``."""
-        total = self.weight_of_degree(len(tree.children))
-        for child in tree.children:
-            total *= self.tree_weight_deg(child)
-        return total
-
     def validate(self, kmax: int) -> "ValidationReport":
         """Check the standing assumptions on ``phi_0 .. phi_kmax``."""
         kmax = max(kmax, 2)

@@ -55,7 +55,6 @@ from .errors import (
     NonConstantExponent,
     NonzeroConstantTerm,
     ParseError,
-    SeriesError,
     UnboundParameter,
     UndefinedConstant,
     UnknownFunction,
@@ -632,12 +631,6 @@ class _Log(_Node):
         ))
 
 
-def _series_error(cls: type[SeriesError], message: str, span: tuple[int, int]) -> SeriesError:
-    err = cls(message)
-    err.span = span
-    return err
-
-
 class OnlineSeries:
     """An expression evaluated at a series F, one coefficient at a time.
 
@@ -701,13 +694,13 @@ class OnlineSeries:
             a0 = arg.c[0]
             if isinstance(node, Exp):
                 if a0 != 0:
-                    raise _series_error(
-                        NonzeroConstantTerm, "exp requires constant term exactly 0", node.span
+                    raise NonzeroConstantTerm(
+                        "exp requires constant term exactly 0", node.span
                     )
                 return self._add(_Exp(arg))
             if a0 != 1:
-                raise _series_error(
-                    ConstantTermNotOne, "log requires constant term exactly 1", node.span
+                raise ConstantTermNotOne(
+                    "log requires constant term exactly 1", node.span
                 )
             return self._add(_Log(arg))
         if not isinstance(node, (Add, Sub, Mul, Div)):
@@ -721,8 +714,8 @@ class OnlineSeries:
         if isinstance(node, Mul):
             return self._add(_Mul(left, right))
         if right.c[0] == 0:
-            raise _series_error(
-                ZeroConstantTerm, "cannot divide by a series with constant term 0", node.span
+            raise ZeroConstantTerm(
+                "cannot divide by a series with constant term 0", node.span
             )
         return self._add(_Div(left, right))
 
@@ -736,14 +729,12 @@ class OnlineSeries:
             return base
         if b0 == 0:
             if e.denominator != 1:
-                raise _series_error(
-                    ConstantTermNotOne,
+                raise ConstantTermNotOne(
                     "non-integer power of a series with constant term 0",
                     node.span,
                 )
             if e < 0:
-                raise _series_error(
-                    ZeroConstantTerm,
+                raise ZeroConstantTerm(
                     "negative power of a series with constant term 0",
                     node.span,
                 )
@@ -751,8 +742,7 @@ class OnlineSeries:
         _check_exponent(e, node.span)
         c0 = _power(b0, e, node.span)
         if c0 is None:
-            raise _series_error(
-                ConstantTermNotOne,
+            raise ConstantTermNotOne(
                 f"constant term {b0} has no exact rational root of index {e.denominator}",
                 node.span,
             )

@@ -1,39 +1,36 @@
-"""Tree enumeration and weighted sums (the certification oracle).
+"""The certification oracle and the trees of the ``labellings`` command.
 
-Two oracles that share no code with the series half.  ``tally`` is the
-fast one: it counts the ordered trees of each signature (degree and
-hook-length histograms) by building ordered forests from whole classes
-of trees that share a signature, and evaluates weighted sums in exact
-integer arithmetic.  ``trees`` is the literal one: it streams every
-ordered tree and is the reference the tests hold the tally against.
+Shares no code with the series half.  ``tally`` counts the ordered trees
+of each signature (degree and hook-length histograms) by building
+ordered forests from whole classes of trees that share a signature, and
+evaluates weighted sums in exact integer arithmetic; ``verify`` and the
+catalogue certify the hook length formulas with it.  ``trees`` holds one
+ordered tree, its parenthesis word, its hook lengths and three counters
+of its increasing labellings, which serve the ``labellings`` command.
+The literal oracle, which streams every ordered tree and weighs each one,
+lives in the tests (``tests/literal_oracle.py``) and holds the tally to
+the definition there.
 """
 
 from .tally import TALLY_LIMIT, backend_name, signature_counts, weighted_sum
 from .trees import (
     BRUTE_FORCE_LIMIT,
-    LEAF,
     MAX_TREE_DEPTH,
     OrderedTree,
-    compositions,
-    enumerate_trees,
     format_tree,
     hook_lengths,
     labellings_bruteforce,
     labellings_hook,
     labellings_recursive,
     parse_tree,
-    tree_weight_hook,
 )
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
-    "LEAF",
     "MAX_TREE_DEPTH",
     "TALLY_LIMIT",
     "OrderedTree",
     "backend_name",
-    "compositions",
-    "enumerate_trees",
     "format_tree",
     "hook_lengths",
     "labellings_bruteforce",
@@ -41,6 +38,5 @@ __all__ = [
     "labellings_recursive",
     "parse_tree",
     "signature_counts",
-    "tree_weight_hook",
     "weighted_sum",
 ]

@@ -28,11 +28,13 @@ multiplied out once per block; a hook histogram then costs one product
 of its two blocks and a signature one multiply-add, run in C by ``map``
 and ``sum``.
 
-``enumerate_trees`` in ``trees`` is the literal oracle that the tests
-hold this one against, together with a walk that visits each unordered
-tree once (Beyer and Hedetniemi, "Constant time generation of rooted
-trees", SIAM J. Comput. 9(4), 1980), kept in the tests.  Like them, this
-module shares nothing with the series half.
+The tests hold this oracle against two references, both kept in
+``tests/literal_oracle.py`` and not in the package: the literal stream
+of every ordered tree with its per-tree weights, and a walk that visits
+each unordered tree once (Beyer and Hedetniemi, "Constant time
+generation of rooted trees", SIAM J. Comput. 9(4), 1980).  This module
+shares nothing with the series half, and ``trees`` beside it serves the
+``labellings`` command.
 """
 
 from __future__ import annotations

@@ -1,28 +1,24 @@
-"""Exhaustive ordered-tree ground truth.
+"""Ordered trees for the ``labellings`` command.
 
-Ordered (plane) rooted trees, streamed exhaustively at small sizes, with
-hook lengths, hook weights and three independent counters of increasing
-labellings.  Everything here is deliberately brute force: it is the
-literal oracle that the signature tally in ``tally`` is checked against,
-and like the tally it shares no machinery with the generating-function
-calculus.
+One ordered (plane) rooted tree at a time: read from and written as a
+parenthesis word, its hook lengths, and three independent counters of
+its increasing labellings, which ``labellings`` holds against each
+other.  Like the tally in ``tally``, nothing here shares machinery with
+the generating-function calculus.  The literal oracle, a stream of
+every ordered tree of a size with the per-tree weights, lives in the
+tests (``tests/literal_oracle.py``), where it checks the tally.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
 
-from ..errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
+from ..errors import SizeLimitExceeded, UnbalancedParens
 
 __all__ = [
     "OrderedTree",
-    "LEAF",
-    "enumerate_trees",
-    "compositions",
     "hook_lengths",
-    "tree_weight_hook",
     "labellings_hook",
     "labellings_recursive",
     "labellings_bruteforce",
@@ -63,65 +59,12 @@ class OrderedTree:
         return f"OrderedTree({format_tree(self)!r})"
 
 
-LEAF = OrderedTree()
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` positive integers summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-def enumerate_trees(n: int) -> Iterator[OrderedTree]:
-    """Stream every ordered tree with exactly ``n`` vertices, once each.
-
-    Recursion over the root degree j and the compositions of ``n-1``
-    into j positive subtree sizes; no memoization, no materialized
-    lists.  Deterministic order: j ascending, compositions lexicographic.
-    """
-    if n < 1:
-        raise ValueError("trees have at least one vertex")
-    if n == 1:
-        yield LEAF
-        return
-    for j in range(1, n):
-        for sizes in compositions(n - 1, j):
-            for forest in _forests(sizes):
-                yield OrderedTree(forest)
-
-
-def _forests(sizes: tuple[int, ...]) -> Iterator[tuple[OrderedTree, ...]]:
-    if not sizes:
-        yield ()
-        return
-    for first in enumerate_trees(sizes[0]):
-        for rest in _forests(sizes[1:]):
-            yield (first, *rest)
-
-
 def hook_lengths(tree: OrderedTree) -> list[int]:
     """Subtree sizes, one per vertex, root first in depth-first order."""
     out = [tree.size]
     for child in tree.children:
         out.extend(hook_lengths(child))
     return out
-
-
-def tree_weight_hook(tree: OrderedTree, rho: "HookWeightFunction") -> Fraction:
-    """Product of ``rho(h_v)`` over all vertices."""
-    if rho.size < tree.size:
-        raise RhoRangeExceeded(
-            f"tree has hook lengths up to {tree.size} but rho covers 1..{rho.size}"
-        )
-    total = Fraction(1)
-    for h in hook_lengths(tree):
-        total *= rho(h)
-    return total
 
 
 # --- increasing labellings: three independent counters ---------------------------

@@ -24,7 +24,6 @@ from hooktrees.hookcalc import (
 from hooktrees.rational import rational_to_string
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import (
-    enumerate_trees,
     labellings_bruteforce,
     labellings_hook,
     labellings_recursive,
@@ -42,6 +41,7 @@ from eager_series import (
     pow_int,
     pow_rational,
 )
+from literal_oracle import enumerate_trees
 
 SEED = 20240811
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hooktrees import cli, gfparse, hookcalc, treeoracle
+from hooktrees.errors import ConstantTermNotOne, ParseError
 from hooktrees.series import TruncatedSeries
 
 
@@ -512,6 +513,51 @@ class TestInputBounds:
         assert code == 0
         assert out.split()[-1] == str(comb(2 * cli.MAX_ORDER - 2, cli.MAX_ORDER - 1) // cli.MAX_ORDER)
 
+
+
+class TestExpressionErrorsNameTheFlag:
+    """A parse, evaluation or series error in an expression names the flag
+    whose text it came from, in one line, and exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["verify", "--phi", "binary", "--rho", "1+", "--max-n", "3"],
+             "--rho: unexpected end of input at offset 2 "
+             "(expected '(', '-', identifier, number)"),
+            (["verify", "--phi", "(1+a*t)^2", "--param", "a=1", "--rho", "q/n",
+              "--max-n", "3"],
+             "--rho: parameter 'q' is not bound (at offsets 0..1)"),
+            (["verify", "--phi", "plane", "--rho", "1+t", "--max-n", "4"],
+             "--rho: the variable t may not appear in --rho (at offsets 2..3)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "log(2+t)"],
+             "--phi: log requires constant term exactly 1 (at offsets 0..8)"),
+            (["verify", "--phi", "(1+q*t)^2", "--rho", "1", "--max-n", "3"],
+             "--phi: parameter 'q' is not bound (at offsets 3..4)"),
+            (["series", "--model", "inc", "--order", "3", "--phi", "1+t^2*"],
+             "--phi: unexpected end of input at offset 6 "
+             "(expected '(', '-', identifier, number)"),
+            (["rho", "--phi", "binary", "--F", "(1+t", "--order", "3"],
+             "--F: unexpected end of input at offset 4 (expected ))"),
+            (["rho", "--phi", "binary", "--F", "exp(1+t)", "--order", "3"],
+             "--F: exp requires constant term exactly 0 (at offsets 0..8)"),
+            (["rho-forest", "--phi", "binary", "--G", "1/t", "--order", "3"],
+             "--G: cannot divide by a series with constant term 0 (at offsets 0..3)"),
+            (["rho-forest", "--phi", "binary", "--G", "1+t^x", "--order", "3"],
+             "--G: parameter 'x' is not bound (at offsets 4..5)"),
+        ],
+    )
+    def test_one_line_names_the_flag(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    def test_error_keeps_its_type_and_position(self):
+        with pytest.raises(ParseError) as info:
+            cli._read_flag("--rho", gfparse.parse, "1+")
+        assert info.value.offset == 2
+        assert str(info.value).startswith("--rho: unexpected end of input")
+        with pytest.raises(ConstantTermNotOne) as info:
+            cli._read_flag("--phi", gfparse.evaluate, gfparse.parse("log(2+t)"), {}, 3)
+        assert info.value.span == (0, 8)
 
 
 class TestBigIntegers:

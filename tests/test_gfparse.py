@@ -303,6 +303,13 @@ class TestEvaluationErrors:
         with pytest.raises(error) as info:
             evaluate(parse(text), binding, 4)
         assert info.value.span == span
+        # series and evaluation errors both show the span in the message
+        assert str(info.value).endswith(f" (at offsets {span[0]}..{span[1]})")
+
+    def test_series_error_without_span_has_plain_message(self):
+        err = ZeroConstantTerm("cannot divide by a series with constant term 0")
+        assert err.span is None
+        assert str(err) == "cannot divide by a series with constant term 0"
 
 
 class TestOnlineEvaluation:

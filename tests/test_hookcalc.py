@@ -26,7 +26,7 @@ from hooktrees.hookcalc import (
 )
 from hooktrees.rational import rational_to_string
 from hooktrees.series import TruncatedSeries
-from hooktrees.treeoracle import enumerate_trees, labellings_recursive
+from hooktrees.treeoracle import labellings_recursive
 
 from eager_series import (
     alpha_family_count,
@@ -38,6 +38,7 @@ from eager_series import (
     log,
     pow_rational,
 )
+from literal_oracle import enumerate_trees, tree_weight_deg
 
 
 def catalan(k):
@@ -269,7 +270,7 @@ class TestIncreasing:
         # independent: sum of degree weight times labelling count, per size
         for n in range(1, 8):
             total = sum(
-                (fam.tree_weight_deg(t) * labellings_recursive(t)
+                (tree_weight_deg(fam, t) * labellings_recursive(t)
                  for t in enumerate_trees(n)),
                 Q(0),
             )

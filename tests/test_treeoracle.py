@@ -9,13 +9,10 @@ from hooktrees import families
 from hooktrees.errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
 from hooktrees.hookcalc import HookWeightFunction
 from hooktrees.treeoracle import (
-    LEAF,
     MAX_TREE_DEPTH,
     TALLY_LIMIT,
     OrderedTree,
     backend_name,
-    compositions,
-    enumerate_trees,
     format_tree,
     hook_lengths,
     labellings_bruteforce,
@@ -23,11 +20,17 @@ from hooktrees.treeoracle import (
     labellings_recursive,
     parse_tree,
     signature_counts,
-    tree_weight_hook,
     weighted_sum,
 )
 from hooktrees.treeoracle import tally
-from unordered_tally import grouped_sizes
+from literal_oracle import (
+    LEAF,
+    compositions,
+    enumerate_trees,
+    grouped_sizes,
+    tree_weight_deg,
+    tree_weight_hook,
+)
 
 
 def catalan(k):
@@ -109,7 +112,7 @@ class TestEnumeration:
 
 def as_bytes(m, groups):
     """One size of ``tally._grouped_sizes`` with its int histograms as the
-    bytes of ``unordered_tally.grouped_sizes``."""
+    bytes of ``literal_oracle.grouped_sizes``."""
     return {
         degrees.to_bytes(m, "little"): {
             hooks.to_bytes(m, "little"): count for hooks, count in row.items()
@@ -273,7 +276,7 @@ class TestWeightedSum:
             rho = HookWeightFunction(values)
             for n in range(1, 10):
                 literal = sum(
-                    (fam.tree_weight_deg(t) * tree_weight_hook(t, rho)
+                    (tree_weight_deg(fam, t) * tree_weight_hook(t, rho)
                      for t in enumerate_trees(n)),
                     Q(0),
                 )
@@ -443,7 +446,7 @@ class TestTreeText:
         assert hook_lengths(path) == list(range(MAX_TREE_DEPTH, 0, -1))
         assert labellings_recursive(path) == 1
         assert format_tree(path) == "(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH
-        assert families.from_spec("plane").tree_weight_deg(path) == 1
+        assert tree_weight_deg(families.from_spec("plane"), path) == 1
         with pytest.raises(SizeLimitExceeded):
             parse_tree("(" * (MAX_TREE_DEPTH + 1) + ")" * (MAX_TREE_DEPTH + 1))
 
