@@ -268,11 +268,13 @@ def _parse_params(items: list[str]) -> dict:
 
 def _read_flag(flag: str, read, *args):
     """``read(*args)``, where ``read`` reads the text of ``flag``; an
-    expression error it raises keeps its type and names the flag."""
+    expression error or a bad value it raises keeps its type and names
+    the flag once: a message that names it already is left as it is."""
     try:
         return read(*args)
-    except (ParseError, EvaluationError, SeriesError) as err:
-        err.args = (f"{flag}: {err}",)
+    except (ParseError, EvaluationError, SeriesError, ValueError) as err:
+        if flag not in str(err):
+            err.args = (f"{flag}: {err}",)
         raise
 
 
@@ -283,7 +285,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     parse ``--F``, ``--G`` or an expression in ``--rho``, refuse a
     ``--param`` that no expression reads, and evaluate ``--F`` or ``--G``
     to a series or ``--rho`` to its table (None for ``series``)."""
-    binding = _parse_params(args.param)
+    binding = _read_flag("--param", _parse_params, args.param)
     if args.command == "verify":
         size = args.max_n
         if not 1 <= size <= MAX_VERIFY_N:
@@ -298,7 +300,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
             raise ValueError("rho needs exactly one of --from-model and --F")
     text = args.phi.strip()
     if text.partition(":")[0] in families.BUILTIN_NAMES:
-        family = families.from_spec(text)
+        family = _read_flag("--phi", families.from_spec, text)
         read = set()
     else:
         family = _read_flag("--phi", families.from_expression, args.phi, binding)

@@ -28,6 +28,16 @@ multiplied out once per block; a hook histogram then costs one product
 of its two blocks and a signature one multiply-add, run in C by ``map``
 and ``sum``.
 
+The hook side of a sum depends on the size and rho alone, and the hook
+length formulas are certified by summing one rho against one family
+after another.  So each size keeps, per distinct rho table (keyed by
+rho's values at 1..n), the hook denominator, the weight of each
+distinct block and one hook sum per degree histogram, summed the first
+time some family weighs that histogram nonzero: O(rows + blocks)
+integers per table per size, about 27 kB at n = 13 and 114 kB at
+n = 16.  A later family at the same size and rho costs its degree
+weights and one multiply per degree histogram it weighs nonzero.
+
 The tests hold this oracle against two references, both kept in
 ``tests/literal_oracle.py`` and not in the package: the literal stream
 of every ordered tree with its per-tree weights, and a walk that visits
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb, prod
 from operator import getitem, mul
 
@@ -213,21 +223,23 @@ def signature_counts(n: int) -> dict[bytes, int]:
 
 
 class _SizeIndex:
-    """The tally of one size, with every distinct block listed once.
+    """The tally of one size, with every distinct block listed once, and
+    the hook side of each rho table weighed at that size so far.
 
-    ``rows`` holds one ``(degree bytes, js, counts)`` per degree histogram:
-    the indices of its hook histograms and their counts.  Hook histogram
-    j is ``low[lo[j]] + high[hi[j]]``, split after ``split = n // 3`` hooks.
+    ``degrees``, ``js`` and ``counts`` hold one entry per degree histogram
+    (a row): its bytes, the indices of its hook histograms and their
+    counts.  Hook histogram j is ``low[lo[j]] + high[hi[j]]``, split after
+    ``split = n // 3`` hooks.  ``hooks`` maps rho's values at 1..n, as
+    ``(numerator, denominator)`` pairs, to their :class:`_HookSide`.
     """
 
-    __slots__ = ("rows", "split", "low", "high", "lo", "hi")
+    __slots__ = ("degrees", "js", "counts", "split", "low", "high", "lo", "hi", "hooks")
 
     def __init__(self, n: int, groups: dict[int, dict[int, int]]) -> None:
         hook_ids: dict[int, int] = {}
-        self.rows = tuple(
-            (degrees.to_bytes(n, "little"), _number(hook_ids, row), tuple(row.values()))
-            for degrees, row in groups.items()
-        )
+        self.degrees = tuple(degrees.to_bytes(n, "little") for degrees in groups)
+        self.js = tuple(_number(hook_ids, row) for row in groups.values())
+        self.counts = tuple(tuple(row.values()) for row in groups.values())
         # At n = 12, 13 and 16, summing without a split (k = 0) was 3 to 4
         # times slower; splits from n // 4 to n // 2 came within about a
         # third of each other, and n // 3 sits between them.  The low block
@@ -239,6 +251,60 @@ class _SizeIndex:
         self.hi = _number(high_ids, map((8 * k).__rrshift__, hook_ids))
         self.low = tuple(block.to_bytes(k, "little") for block in low_ids)
         self.high = tuple(block.to_bytes(n - k, "little") for block in high_ids)
+        self.hooks: dict[tuple[tuple[int, int], ...], _HookSide] = {}
+
+
+class _HookSide:
+    """The hook side of the weighted sums of one size at one rho table.
+
+    Every weight of rho is put over ``denominator``; ``low`` and ``high``
+    hold the integer weight of each distinct block, and ``sums[r]`` the
+    hook sum of row r, ``sum(count * low[lo[j]] * high[hi[j]])`` over its
+    hook histograms j, or None until a family weighs row r nonzero.
+    """
+
+    __slots__ = ("denominator", "low", "high", "sums")
+
+    def __init__(self, index: _SizeIndex, ratios: tuple[tuple[int, int], ...]) -> None:
+        tables, self.denominator = _power_tables(len(ratios), ratios, 1)
+        k = index.split
+        low_tables, high_tables = tables[:k], tables[k:]
+        self.low = [prod(map(getitem, low_tables, block)) for block in index.low]
+        self.high = [prod(map(getitem, high_tables, block)) for block in index.high]
+        self.sums: list[int | None] = [None] * len(index.degrees)
+
+    def fill(self, index: _SizeIndex, weights: list[int]) -> None:
+        """Sum the hooks of each row that ``weights`` weighs nonzero and
+        that has no sum yet."""
+        by_hooks = list(map(mul, map(self.low.__getitem__, index.lo),
+                            map(self.high.__getitem__, index.hi)))
+        sums, js, counts = self.sums, index.js, index.counts
+        for r in compress(range(len(sums)), weights):
+            if sums[r] is None:
+                sums[r] = sum(map(mul, counts[r], map(by_hooks.__getitem__, js[r])))
+
+
+def _power_tables(
+    n: int, ratios: Iterable[tuple[int, int]], first: int
+) -> tuple[list[list[int]], int]:
+    """The integer power tables of the weights ``p/q`` of fields
+    ``first, first + 1, ...`` of a size-n signature, and their common
+    denominator.
+
+    Field f is out-degree f (first = 0) or hook length f (first = 1).  A
+    size-n tree has at most n // d vertices of out-degree d >= 1 (the
+    degrees sum to n - 1) and at most n // h of hook h (their subtrees
+    are disjoint), so with ``top = n // max(f, 1)``, p/q raised to c is
+    ``p**c * q**(top - c)`` over ``q**top``, and the denominator is the
+    product of the ``q**top``.
+    """
+    tables = []
+    denominator = 1
+    for f, (p, q) in enumerate(ratios, first):
+        top = n // max(f, 1)
+        tables.append([p**c * q ** (top - c) for c in range(top + 1)])
+        denominator *= q**top
+    return tables, denominator
 
 
 def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
@@ -251,8 +317,8 @@ def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
 
 
 # Indexed tallies by size, filled by one pass for every size up to the one
-# asked for.  Only ``weighted_sum`` reads them, and nothing writes to an
-# index once it is built.
+# asked for.  Only ``weighted_sum`` reads them, and it writes nothing to
+# an index but the hook sides in ``hooks``.
 _indexed: dict[int, _SizeIndex] = {}
 
 
@@ -265,8 +331,19 @@ def weighted_sum(
     each distinct degree histogram, low hook block and high hook block is
     weighed once.  Every weight is put over one common denominator, the
     terms are summed as Python ints, and one Fraction is built at the
-    end.  The first call for a size tallies every size up to it, so
-    asking for the largest size first tallies once.
+    end.  The first call for a size tallies every size up to it and
+    indexes each size not indexed yet, so asking for the largest size
+    first tallies once.
+
+    The hook side of a sum depends on n and rho alone: the size's index
+    keeps it for each rho table, keyed by rho's values at 1..n, so equal
+    tables share it whatever their length past n.  It holds the hook
+    denominator, the weight of each distinct block and one hook sum per
+    degree row, filled the first time some family weighs the row
+    nonzero; that is O(rows + blocks) integers per distinct table per
+    size (at n = 13, 77 rows and 587 blocks), and nothing is kept per
+    hook histogram or per signature.  A later call at the same n and rho
+    costs its degree weights and one multiply per nonzero row.
     """
     _check_size(n)
     if rho.size < n:
@@ -275,31 +352,22 @@ def weighted_sum(
         )
     if n not in _indexed:
         for m, groups in _grouped_sizes(n):
-            _indexed[m] = _SizeIndex(m, groups)
+            if m not in _indexed:  # a kept index keeps its hook sides
+                _indexed[m] = _SizeIndex(m, groups)
     index = _indexed[n]
-    weights = [family.weight_of_degree(k) for k in range(n)]
-    weights += [rho(h) for h in range(1, n + 1)]
-    # Table f weighs out-degree d = f, or hook length h = f - n + 1.  A
-    # size-n tree has at most n // d vertices of out-degree d >= 1 (the
-    # degrees sum to n - 1) and at most n // h of hook h (their subtrees
-    # are disjoint), so p/q raised to c is p^c * q^(top - c) over q^top.
-    tables = []
-    denominator = 1
-    for f, w in enumerate(weights):
-        top = n // max(f if f < n else f - n + 1, 1)
-        p, q = w.numerator, w.denominator
-        tables.append([p**c * q ** (top - c) for c in range(top + 1)])
-        denominator *= q**top
-    k = index.split
-    degree_tables, low_tables, high_tables = tables[:n], tables[n:n + k], tables[n + k:]
-    low = [prod(map(getitem, low_tables, block)) for block in index.low]
-    high = [prod(map(getitem, high_tables, block)) for block in index.high]
-    by_hooks = list(map(mul, map(low.__getitem__, index.lo), map(high.__getitem__, index.hi)))
-    total = 0
-    for degrees, js, counts in index.rows:
-        # a polynomial phi weighs most degree histograms 0 (binary: 87% of
-        # the signatures at n = 16), and their hook sums are skipped
-        weight = prod(map(getitem, degree_tables, degrees))
-        if weight:
-            total += weight * sum(map(mul, counts, map(by_hooks.__getitem__, js)))
-    return Fraction(total, denominator)
+    key = tuple(map(Fraction.as_integer_ratio, rho.values[:n]))
+    hooks = index.hooks.get(key)
+    if hooks is None:
+        hooks = index.hooks[key] = _HookSide(index, key)
+    degree_tables, denominator = _power_tables(
+        n, [(w.numerator, w.denominator) for w in map(family.weight_of_degree, range(n))], 0
+    )
+    # the weight of each degree row, prod(map(getitem, degree_tables, degrees))
+    weights = list(map(prod, map(map, repeat(getitem), repeat(degree_tables), index.degrees)))
+    # a polynomial phi weighs most degree histograms 0 (binary: 87% of the
+    # signatures at n = 16), and their hook sums are neither made nor read
+    sums = hooks.sums
+    if None in compress(sums, weights):
+        hooks.fill(index, weights)
+    total = sum(map(mul, compress(weights, weights), compress(sums, weights)))
+    return Fraction(total, denominator * hooks.denominator)

@@ -17,16 +17,11 @@ polynomials in x of degree at most n: every tree has n vertices, each a
 factor x + 1/h, and the right side has n linear factors.  Two such
 polynomials that agree at n + 1 distinct x are equal, so the oracle's
 weighted sums at n + 1 values of x certify a row for every x at once.
-The oracle does so for every n up to ``TALLY_LIMIT`` on ``binary``,
-``kary:3``, ``yang:1/3,-1/2``, ``plane`` and ``labelled``: one family for
-each m = 2, 3, -1/2, -1 and the exp limit.  s needs no points of its
-own: the out-degrees of a tree of size n sum to n - 1, so both sides are
-s^(n-1) times their values at s = 1, and ``yang:1/2,3`` and
-``polyalpha:1/2`` share m with a certified family.  A certified family
-costs about 0.75 s, nearly all of it the 17 weighted sums at n = 16 (one
-core of a shared 2-vCPU VM), so the other families of the table are
-checked by the oracle at their classical x only.  The series half is
-checked to order ``ORDER``, with ``series_from_rho`` and the
+The oracle does so for every family of the table and every n up to
+``TALLY_LIMIT``.  Every family is summed at the same rho tables, and the
+oracle weighs the hook side of a table at a size once, so each family
+after the first costs little more than its degree weights.  The series
+half is checked to order ``ORDER``, with ``series_from_rho`` and the
 ``rho_from_series`` round trip, at the x of the classical formulas:
 
 - x = 1 for ``binary``: Postnikov's formula 2^n (n+1)^(n-1) / n!
@@ -107,9 +102,7 @@ POLYNOMIALS = {
     "polyalpha:2": (partial(one_plus_st_to_the_m, -1, -2), (Q(-3),)),
     "labelled": (exp_limit, (Q(5, 2),)),
 }
-# one family for each m = 2, 3, -1/2, -1 and the exp limit; n + 1 of XS
-# certify size n
-CERTIFIED = ("binary", "kary:3", "yang:1/3,-1/2", "plane", "labelled")
+# n + 1 of XS certify size n
 XS = tuple(Q(k, 3) for k in range(-8, 9))
 
 
@@ -126,11 +119,11 @@ def at(spec, x, size):
 @pytest.mark.parametrize("spec", list(POLYNOMIALS))
 def test_oracle_sums_are_the_hook_length_polynomial(spec):
     assert len(set(XS)) == TALLY_LIMIT + 1
-    polynomial, points = POLYNOMIALS[spec]
+    polynomial, _ = POLYNOMIALS[spec]
     family = families.from_spec(spec)
     # the largest size first: one tally pass serves every size
     for n in range(TALLY_LIMIT, 0, -1):
-        for x in XS[: n + 1] if spec in CERTIFIED else points:
+        for x in XS[: n + 1]:
             rho = HookWeightFunction([x + Q(1, h) for h in range(1, n + 1)])
             assert weighted_sum(n, family, rho) == polynomial(n, x), (n, x)
 

@@ -516,8 +516,9 @@ class TestInputBounds:
 
 
 class TestExpressionErrorsNameTheFlag:
-    """A parse, evaluation or series error in an expression names the flag
-    whose text it came from, in one line, and exits 2."""
+    """A parse, evaluation or series error in an expression, or a bad
+    value, names the flag whose text it came from once, in one line, and
+    exits 2."""
 
     @pytest.mark.parametrize(
         "argv,line",
@@ -528,8 +529,19 @@ class TestExpressionErrorsNameTheFlag:
             (["verify", "--phi", "(1+a*t)^2", "--param", "a=1", "--rho", "q/n",
               "--max-n", "3"],
              "--rho: parameter 'q' is not bound (at offsets 0..1)"),
+            # a message that names the flag already is not prefixed
             (["verify", "--phi", "plane", "--rho", "1+t", "--max-n", "4"],
-             "--rho: the variable t may not appear in --rho (at offsets 2..3)"),
+             "the variable t may not appear in --rho (at offsets 2..3)"),
+            (["verify", "--phi", "plane", "--rho", "exp(n)", "--max-n", "4"],
+             "exp/log are not allowed in --rho (at offsets 0..6)"),
+            # a bad rational names the flag it was read from
+            (["series", "--model", "sg", "--order", "5", "--phi", "kary:1/0"],
+             "--phi: zero denominator in rational literal '1/0'"),
+            (["series", "--model", "sg", "--order", "5", "--phi", "(1+s*t)^m",
+              "--param", "s=1/0", "--param", "m=3"],
+             "--param: zero denominator in rational literal '1/0'"),
+            (["verify", "--phi", "binary", "--rho", "1,1/0,1", "--max-n", "3"],
+             "--rho: zero denominator in rational literal '1/0'"),
             (["series", "--model", "sg", "--order", "3", "--phi", "log(2+t)"],
              "--phi: log requires constant term exactly 1 (at offsets 0..8)"),
             (["verify", "--phi", "(1+q*t)^2", "--rho", "1", "--max-n", "3"],

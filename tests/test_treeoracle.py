@@ -320,7 +320,7 @@ class TestWeightedSum:
         assert sorted(tally._indexed) == list(range(1, TALLY_LIMIT + 1))
         for m, index in tally._indexed.items():
             flat = {}
-            for degrees, js, counts in index.rows:
+            for degrees, js, counts in zip(index.degrees, index.js, index.counts):
                 assert len(js) == len(counts)
                 for j, count in zip(js, counts):
                     flat[degrees + index.low[index.lo[j]] + index.high[index.hi[j]]] = count
@@ -346,6 +346,87 @@ class TestWeightedSum:
             rho = rho_from_series(F, fam, 8)
             for n in range(1, 9):
                 assert weighted_sum(n, fam, rho) == F.coeff(n)
+
+
+class TestHookSideReuse:
+    """The hook side of a sum is kept per size and rho table and shared by
+    every family summed there."""
+
+    def test_fill_order_binary_plane_kary(self, monkeypatch):
+        # binary weighs few degree rows, plane every row, kary:3 no new one
+        monkeypatch.setattr(tally, "_indexed", {})
+        rho = HookWeightFunction(random_weights(Random(15), 12))
+        specs = ("binary", "plane", "kary:3")
+        for n in range(12, 0, -1):
+            for spec in specs:
+                fam = families.from_spec(spec)
+                assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (spec, n)
+            assert len(tally._indexed[n].hooks) == 1
+        for n in range(1, 13):
+            for spec in reversed(specs):  # every row filled: sums read back
+                fam = families.from_spec(spec)
+                assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (spec, n)
+
+    def test_binary_fills_only_the_rows_it_weighs(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        rho = HookWeightFunction.from_spec("1", 10)
+        weighted_sum(10, families.from_spec("binary"), rho)
+        (hooks,) = tally._indexed[10].hooks.values()
+        binary_rows = [degrees for degrees, hook_sum in zip(tally._indexed[10].degrees, hooks.sums)
+                       if hook_sum is not None]
+        # binary weighs out-degrees 0, 1 and 2 only
+        assert binary_rows and all(max(degrees[3:], default=0) == 0 for degrees in binary_rows)
+        assert None in hooks.sums
+        weighted_sum(10, families.from_spec("plane"), rho)
+        assert None not in hooks.sums
+
+    def test_equal_tables_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        plane, labelled = families.from_spec("plane"), families.from_spec("labelled")
+        for n in (1, 7, 11):
+            by_spec = HookWeightFunction.from_spec("1/n", n)
+            literal = HookWeightFunction([Q(1, h) for h in range(1, n + 4)])
+            assert weighted_sum(n, plane, by_spec) == weighted_sum(n, plane, literal)
+            assert weighted_sum(n, labelled, literal) == per_signature_sum(n, labelled, by_spec)
+            assert list(tally._indexed[n].hooks) == [tuple((1, h) for h in range(1, n + 1))]
+        weighted_sum(11, plane, HookWeightFunction.from_spec("n", 11))
+        assert len(tally._indexed[11].hooks) == 2
+
+    def test_one_slot_per_degree_row(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        plane = families.from_spec("plane")
+        for n in range(TALLY_LIMIT, 0, -1):
+            weighted_sum(n, plane, HookWeightFunction.from_spec("1", n))
+            weighted_sum(n, plane, HookWeightFunction.from_spec("n", n))
+            index = tally._indexed[n]
+            assert len(index.hooks) == (1 if n == 1 else 2)
+            for hooks in index.hooks.values():
+                assert len(hooks.sums) == len(index.degrees) == len(index.js)
+                assert len(hooks.low) == len(index.low) and len(hooks.high) == len(index.high)
+                assert None not in hooks.sums  # plane weighs every row
+
+    def test_a_larger_size_keeps_the_smaller_indexes(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        rho = HookWeightFunction.from_spec("1/n", 10)
+        labelled = families.from_spec("labelled")
+        weighted_sum(8, labelled, rho)
+        index = tally._indexed[8]
+        weighted_sum(10, labelled, rho)
+        assert tally._indexed[8] is index and len(index.hooks) == 1
+
+    def test_replacing_the_index_leaves_no_stale_entry(self, monkeypatch):
+        rho = HookWeightFunction(random_weights(Random(7), 9))
+        plane, binary = families.from_spec("plane"), families.from_spec("binary")
+        monkeypatch.setattr(tally, "_indexed", {})
+        weighted_sum(9, plane, rho)
+        old = tally._indexed[9]
+        monkeypatch.setattr(tally, "_indexed", {})
+        assert weighted_sum(9, binary, rho) == per_signature_sum(9, binary, rho)
+        index = tally._indexed[9]
+        assert index is not old and len(index.hooks) == 1
+        # binary alone filled the new entry: the rows only plane weighs are empty
+        (hooks,) = index.hooks.values()
+        assert None in hooks.sums and None not in old.hooks[next(iter(old.hooks))].sums
 
 
 def labellings_by_permutations(tree):
