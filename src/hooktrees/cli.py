@@ -35,14 +35,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
-from .errors import (
-    DenominatorVanishes,
-    DomainError,
-    EvaluationError,
-    HookTreesError,
-    ParseError,
-    SeriesError,
-)
+from .errors import DenominatorVanishes, DomainError, HookTreesError
 from .rational import rational_from_string, rational_to_string
 
 EXIT_OK = 0
@@ -56,8 +49,6 @@ MAX_VERIFY_N = 12
 # --from-model), takes about 0.3 s on a 2.1 GHz Xeon core.  Its solve
 # alone takes about 33 s at order 1000: cost grows about as order^4.
 MAX_ORDER = 300
-
-_RESERVED_NAMES = ("t", "exp", "log")
 
 
 # The command-line grammar: command -> (help, flags), each flag a row
@@ -257,9 +248,9 @@ def _parse_params(items: list[str]) -> dict:
         name, eq, value = item.partition("=")
         name = name.strip()
         if not eq or not name.isidentifier():
-            raise ValueError(f"malformed --param {item!r}, expected NAME=P/Q")
-        if name in _RESERVED_NAMES:
-            raise ValueError(f"--param cannot bind {name!r}: the name is reserved")
+            raise ValueError(f"malformed binding {item!r}, expected NAME=P/Q")
+        if name in gfparse.RESERVED_NAMES:
+            raise ValueError(f"cannot bind {name!r}: the name is reserved")
         if name in binding:
             raise ValueError(f"parameter {name!r} bound twice")
         binding[name] = rational_from_string(value)
@@ -267,14 +258,14 @@ def _parse_params(items: list[str]) -> dict:
 
 
 def _read_flag(flag: str, read, *args):
-    """``read(*args)``, where ``read`` reads the text of ``flag``; an
-    expression error or a bad value it raises keeps its type and names
-    the flag once: a message that names it already is left as it is."""
+    """``read(*args)``, where ``read`` reads the text of ``flag``.  Every
+    error that :func:`main` reports as an input error or an undefined
+    rho keeps its type, and so its exit code, and its message starts
+    with ``FLAG: ``."""
     try:
         return read(*args)
-    except (ParseError, EvaluationError, SeriesError, ValueError) as err:
-        if flag not in str(err):
-            err.args = (f"{flag}: {err}",)
+    except (HookTreesError, ValueError) as err:
+        err.args = (f"{flag}: {err}",)
         raise
 
 

@@ -106,15 +106,12 @@ class DenominatorVanishes(HookTreesError):
     """The defining quotient for rho(n) has a vanishing denominator.
 
     The weight function is simply undefined at that index; ``index``
-    records the offending n, and ``cause`` says what vanishes.
+    records the offending n, and ``reason`` says what vanishes.
     """
 
-    def __init__(self, index: int, detail: str = "", cause: str = ""):
+    def __init__(self, index: int, reason: str):
         self.index = index
-        message = f"rho({index}) is undefined: {cause or 'denominator coefficient vanishes'}"
-        if detail:
-            message += f" ({detail})"
-        super().__init__(message)
+        super().__init__(f"rho({index}) is undefined: {reason}")
 
 
 class ConstantMismatch(HookTreesError):

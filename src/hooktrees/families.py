@@ -67,24 +67,17 @@ class DegreeWeightFamily:
         :class:`gfparse.OnlineSeries`)."""
         return gfparse.OnlineSeries(self.expression, self.binding)
 
-    def _coefficients(self, order: int) -> list[Fraction]:
-        """``phi_0 .. phi_order`` and maybe more: the cached series at t := z."""
-        coeffs = self._phi.coefficients
-        while len(coeffs) <= order:  # F = z: coefficient 1 is 1, all others 0
-            self._phi.extend(Fraction(1 if len(coeffs) == 1 else 0))
-        return coeffs
-
     def phi_series(self, order: int) -> TruncatedSeries:
         """The series ``phi(t)`` truncated exactly at ``order``."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        return TruncatedSeries(self._coefficients(order)[: order + 1])
+        return TruncatedSeries(self._phi.at_z(order)[: order + 1])
 
     def weight_of_degree(self, k: int) -> Fraction:
         """``phi_k``, the weight of a vertex with ``k`` children."""
         if k < 0:
             raise ValueError("out-degree must be non-negative")
-        return self._coefficients(k)[k]
+        return self._phi.at_z(k)[k]
 
     def validate(self, kmax: int) -> "ValidationReport":
         """Check the standing assumptions on ``phi_0 .. phi_kmax``."""

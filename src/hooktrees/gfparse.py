@@ -10,16 +10,17 @@ Accepted syntax (ASCII only)::
             | ('exp'|'log') '(' expr ')'
     NUMBER := integer, or integer '/' integer written without spaces
 
-Identifiers other than ``t``, ``exp`` and ``log`` are free parameters and
-must be bound to exact rationals before evaluation.  Exponents must
-evaluate to rational constants: ``t`` may not appear in an exponent, and a
-constant like ``4^(1/2)`` is accepted only when the result is rational.
-Unary minus binds looser than ``^`` and is stored as subtraction from
-zero, so the node set stays closed under the grammar.  Implicit
-multiplication ("2t") is rejected; write ``2*t``.
+Identifiers other than ``RESERVED_NAMES`` (``t``, ``exp`` and ``log``)
+are free parameters and must be bound to exact rationals before
+evaluation.  Exponents must evaluate to rational constants: ``t`` may not
+appear in an exponent, and a constant like ``4^(1/2)`` is accepted only
+when the result is rational.  Unary minus binds looser than ``^`` and is
+stored as subtraction from zero, so the node set stays closed under the
+grammar.  Implicit multiplication ("2t") is rejected; write ``2*t``.
 
-Note that a rational literal is a single token: ``1/2^a`` parses as
-``(1/2)^a``.  Write ``1/(2^a)`` for the other reading.
+Note that a rational literal is a single token, read by the pattern that
+reads every rational flag value (``rational.RATIONAL_LITERAL``):
+``1/2^a`` parses as ``(1/2)^a``.  Write ``1/(2^a)`` for the other reading.
 
 An expression may nest at most ``MAX_DEPTH`` levels: every operator,
 function call, unary minus and pair of parentheses is one level, so a
@@ -45,9 +46,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count, repeat
 from math import lcm
-from operator import attrgetter, floordiv, mul
+from operator import add, attrgetter, floordiv, mul, sub, truediv
 
 from ._record import Record
 from .errors import (
@@ -60,7 +62,14 @@ from .errors import (
     UnknownFunction,
     ZeroConstantTerm,
 )
-from .rational import Rational, as_rational, rational_from_string, rational_root
+from .rational import (
+    RATIONAL_LITERAL,
+    Rational,
+    as_rational,
+    rational_from_string,
+    rational_root,
+    rational_to_string,
+)
 from .series import TruncatedSeries
 
 __all__ = [
@@ -79,6 +88,7 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_POWER_BITS",
     "MAX_EXPONENT_BITS",
+    "RESERVED_NAMES",
     "OnlineSeries",
     "parse",
     "parameters",
@@ -91,8 +101,6 @@ ParamBinding = Mapping[str, Rational]
 MAX_DEPTH = 100
 MAX_POWER_BITS = 1 << 16
 MAX_EXPONENT_BITS = 64
-
-_RESERVED = ("exp", "log")
 
 
 # --- AST ----------------------------------------------------------------------
@@ -161,6 +169,14 @@ class Log(GfExpr):
     __slots__ = ("arg",)
 
 
+_FUNCTIONS = {"exp": Exp, "log": Log}
+#: the names that are not parameters: the variable and the functions
+RESERVED_NAMES = ("t", *_FUNCTIONS)
+# the binary operators by precedence, loosest first; each level is one
+# left-associative chain over operands of the next level
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+
+
 # --- tokenizer ------------------------------------------------------------------
 
 _OPERATORS = "+-*/^()"
@@ -187,21 +203,14 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i, i + 1, None))
             i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            # adjacent '/' digits form a single rational literal
-            if i + 1 < n and text[i] == "/" and text[i + 1].isdigit():
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            raw = text[start:i]
+        if ch.isdigit():  # adjacent '/' digits belong to the same literal
+            raw = RATIONAL_LITERAL.match(text, i).group()
             try:
                 value = rational_from_string(raw)
             except ValueError as err:  # a zero denominator
-                raise ParseError(str(err), start) from None
-            tokens.append(_Token("number", raw, start, i, value))
+                raise ParseError(str(err), i) from None
+            tokens.append(_Token("number", raw, i, i + len(raw), value))
+            i += len(raw)
             continue
         if ch.isalpha() or ch == "_":
             start = i
@@ -247,12 +256,12 @@ class _Parser:
     def _too_deep(offset: int) -> ParseError:
         return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", offset)
 
-    def _nested(self, parse, tok: _Token) -> GfExpr:
+    def _nested(self, parse, tok: _Token, *args) -> GfExpr:
         """Run one recursive production, one level below the current one."""
         if self.nesting >= MAX_DEPTH:
             raise self._too_deep(tok.start)
         self.nesting += 1
-        node = parse()
+        node = parse(*args)
         self.nesting -= 1
         return node
 
@@ -263,7 +272,7 @@ class _Parser:
         return node
 
     def parse(self) -> GfExpr:
-        node = self.expr()
+        node = self.binary(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(
@@ -273,23 +282,15 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> GfExpr:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
+    def binary(self, level: int) -> GfExpr:
+        """``expr`` at level 0 and ``term`` at level 1 of the grammar."""
+        operators = _LEVELS[level]
+        operand = partial(self.binary, level + 1) if level + 1 < len(_LEVELS) else self.unary
+        node = operand()
+        while self.peek().kind in operators:
             op = self.advance()
-            right = self.term()
-            span = (node.span[0], right.span[1])
-            node = Add(span, node, right) if op.kind == "+" else Sub(span, node, right)
-            self._checked(node, op)
-        return node
-
-    def term(self) -> GfExpr:
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.unary()
-            span = (node.span[0], right.span[1])
-            node = Mul(span, node, right) if op.kind == "*" else Div(span, node, right)
+            right = operand()
+            node = operators[op.kind]((node.span[0], right.span[1]), node, right)
             self._checked(node, op)
         return node
 
@@ -319,19 +320,16 @@ class _Parser:
             return RationalLiteral((tok.start, tok.end), tok.value)
         if tok.kind == "(":
             self.advance()
-            node = self._nested(self.expr, tok)
+            node = self._nested(self.binary, tok, 0)
             self.expect(")")
             return node
         if tok.kind == "ident":
             self.advance()
-            if tok.text in _RESERVED:
+            if tok.text in _FUNCTIONS:
                 self.expect("(")
-                arg = self._nested(self.expr, tok)
+                arg = self._nested(self.binary, tok, 0)
                 closing = self.expect(")")
-                span = (tok.start, closing.end)
-                return self._checked(
-                    Exp(span, arg) if tok.text == "exp" else Log(span, arg), tok
-                )
+                return self._checked(_FUNCTIONS[tok.text]((tok.start, closing.end), arg), tok)
             if self.peek().kind == "(":
                 raise UnknownFunction(tok.text, tok.start)
             if tok.text == "t":
@@ -411,19 +409,14 @@ def const_eval(node: GfExpr, binding: ParamBinding, where: str = "in an exponent
         if value is None:
             raise NonConstantExponent(f"a power {where} is not rational", node.span)
         return value
-    if not isinstance(node, (Add, Sub, Mul, Div)):
+    if type(node) not in _BINARY:
         raise NonConstantExponent(f"exp/log are not allowed {where}", node.span)
     left = const_eval(node.left, binding, where)
     right = const_eval(node.right, binding, where)
-    if isinstance(node, Add):
-        return left + right
-    if isinstance(node, Sub):
-        return left - right
-    if isinstance(node, Mul):
-        return left * right
-    if right == 0:
-        raise UndefinedConstant(f"division by zero {where}", node.span)
-    return left / right
+    try:
+        return _BINARY[type(node)][0](left, right)
+    except ZeroDivisionError:
+        raise UndefinedConstant(f"division by zero {where}", node.span) from None
 
 
 # --- online evaluation -------------------------------------------------------------------
@@ -499,36 +492,30 @@ class _Const(_Node):
         self.c.append(_ZERO)
 
 
-class _Add(_Node):
-    __slots__ = ("a", "b")
+class _Binary(_Node):
+    """A node over the nodes ``a`` and ``b``: ``c_0 = op(a_0, b_0)``, where
+    ``op`` is the operator's value on rationals."""
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.c = [a.c[0] + b.c[0]]
+    __slots__ = ("a", "b", "op")
 
-    def step(self, m):
-        self.c.append(self.a.c[m] + self.b.c[m])
+    def __init__(self, a, b, op):
+        self.a, self.b, self.op = a, b, op
+        self.c = [op(a.c[0], b.c[0])]
 
 
-class _Sub(_Node):
-    __slots__ = ("a", "b")
+class _Sum(_Binary):
+    """A sum or a difference: ``c_m = op(a_m, b_m)``."""
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.c = [a.c[0] - b.c[0]]
+    __slots__ = ()
 
     def step(self, m):
-        self.c.append(self.a.c[m] - self.b.c[m])
+        self.c.append(self.op(self.a.c[m], self.b.c[m]))
 
 
-class _Mul(_Node):
+class _Mul(_Binary):
     """Convolution: ``c_m = sum_i a_i b_{m-i}``."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.c = [a.c[0] * b.c[0]]
+    __slots__ = ()
 
     def step(self, m):
         a, b = self.a, self.b
@@ -537,14 +524,10 @@ class _Mul(_Node):
         self.c.append(Fraction(*_dot(a.c[lo:hi], b.c[::-1][lo:hi])))
 
 
-class _Div(_Node):
+class _Div(_Binary):
     """``c = a / b``: ``b_0 c_m = a_m - sum_{i<m} c_i b_{m-i}``."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.c = [a.c[0] / b.c[0]]
+    __slots__ = ()
 
     def step(self, m):
         b, c, k = self.b.c, self.c, self.b.top
@@ -555,6 +538,11 @@ class _Div(_Node):
             (am.numerator * d - n * am.denominator) * b0.denominator,
             am.denominator * d * b0.numerator,
         ))
+
+
+# what each binary operator computes: its value on rationals, which is
+# also coefficient 0 of its online node, and that node
+_BINARY = {Add: (add, _Sum), Sub: (sub, _Sum), Mul: (mul, _Mul), Div: (truediv, _Div)}
 
 
 class _Pow(_Node):
@@ -641,7 +629,8 @@ class OnlineSeries:
     cannot take.  :meth:`extend` appends the next coefficient F_m and
     computes coefficient m of the expression in O(m) operations per
     node; coefficient m depends on F_m only through the term
-    ``[t^1] * F_m``.  :meth:`retract` undoes one :meth:`extend`.
+    ``[t^1] * F_m``.  :meth:`retract` undoes one :meth:`extend`, and
+    :meth:`at_z` extends F as the series z.
     """
 
     def __init__(self, expr: GfExpr, binding: ParamBinding):
@@ -665,6 +654,15 @@ class OnlineSeries:
             if node.c[m]:
                 node.top = m
         return self.coefficients[m]
+
+    def at_z(self, order: int) -> list[Fraction]:
+        """The coefficients at F = z, up to ``order`` at least: extends F by
+        1 at index 1 and 0 elsewhere, so a later call resumes where this
+        one stopped.  F must have no other extension."""
+        coeffs = self.coefficients
+        while len(coeffs) <= order:
+            self.extend(_ONE if len(coeffs) == 1 else _ZERO)
+        return coeffs
 
     def retract(self) -> None:
         """Drop the last coefficient of F and of the expression, so that
@@ -703,21 +701,17 @@ class OnlineSeries:
                     "log requires constant term exactly 1", node.span
                 )
             return self._add(_Log(arg))
-        if not isinstance(node, (Add, Sub, Mul, Div)):
+        if type(node) not in _BINARY:
             raise TypeError(f"not an expression node: {node!r}")
+        op, online = _BINARY[type(node)]
         left = self._compile(node.left)
         right = self._compile(node.right)
-        if isinstance(node, Add):
-            return self._add(_Add(left, right))
-        if isinstance(node, Sub):
-            return self._add(_Sub(left, right))
-        if isinstance(node, Mul):
-            return self._add(_Mul(left, right))
-        if right.c[0] == 0:
+        try:
+            return self._add(online(left, right, op))
+        except ZeroDivisionError:  # c_0 of a quotient by a series with b_0 = 0
             raise ZeroConstantTerm(
                 "cannot divide by a series with constant term 0", node.span
-            )
-        return self._add(_Div(left, right))
+            ) from None
 
     def _compile_pow(self, node: Pow) -> _Node:
         e = const_eval(node.exponent, self._binding)
@@ -743,7 +737,8 @@ class OnlineSeries:
         c0 = _power(b0, e, node.span)
         if c0 is None:
             raise ConstantTermNotOne(
-                f"constant term {b0} has no exact rational root of index {e.denominator}",
+                f"constant term {rational_to_string(b0)} has no exact rational "
+                f"root of index {e.denominator}",
                 node.span,
             )
         return self._add(_Pow(base, e, c0))
@@ -757,8 +752,4 @@ def evaluate(expr: GfExpr, binding: ParamBinding, order: int) -> TruncatedSeries
     """
     if order < 1:
         raise ValueError("evaluation order must be at least 1")
-    series = OnlineSeries(expr, binding)
-    series.extend(_ONE)
-    for _ in range(order - 1):
-        series.extend(_ZERO)
-    return TruncatedSeries(series.coefficients)
+    return TruncatedSeries(OnlineSeries(expr, binding).at_z(order))

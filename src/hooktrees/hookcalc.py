@@ -109,9 +109,9 @@ class HookWeightFunction(Record):
         for n in range(1, size + 1):
             binding["n"] = n
             try:
-                values.append(gfparse.const_eval(expression, binding, "in --rho"))
+                values.append(gfparse.const_eval(expression, binding, "in rho(n)"))
             except UndefinedConstant as err:
-                raise DenominatorVanishes(n, cause=str(err)) from None
+                raise DenominatorVanishes(n, str(err)) from None
         return cls(values)
 
     @staticmethod
@@ -143,7 +143,9 @@ def _quotients(F, d: list, of: str) -> HookWeightFunction:
     values = []
     for n, den in enumerate(d, 1):
         if den == 0:
-            raise DenominatorVanishes(n, f"[z^{n - 1}] {of} = 0")
+            raise DenominatorVanishes(
+                n, f"denominator coefficient vanishes ([z^{n - 1}] {of} = 0)"
+            )
         values.append(F[n] / den)
     return HookWeightFunction(values)
 

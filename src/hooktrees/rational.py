@@ -4,7 +4,9 @@ The coefficient field everywhere in this package is the arbitrary-precision
 rational.  ``fractions.Fraction`` already is exactly that (always in lowest
 terms, positive denominator, exact arithmetic), so it is used directly.
 Rationals travel as strings: ``"p/q"`` in lowest terms, or plain ``"p"``
-when the denominator is 1.
+when the denominator is 1.  A rational literal is read by one pattern,
+:data:`RATIONAL_LITERAL`, everywhere: a flag's value and a number in an
+expression take the same ASCII digits.
 
 Integers of any length convert exactly in both directions.  ``int`` and
 ``str`` refuse decimal text longer than ``sys.get_int_max_str_digits()``
@@ -21,7 +23,9 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# an optional sign, ASCII digits and an optional "/" with more ASCII
+# digits, no spaces: ``\d`` would also take every other script's digits
+RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def rational_to_string(value: Fraction) -> str:
@@ -34,7 +38,7 @@ def rational_to_string(value: Fraction) -> str:
 def rational_from_string(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"``; rejects decimals and other notation."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not RATIONAL_LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r} (use p or p/q)")
     numerator, _, denominator = text.partition("/")
     q = int(Decimal(denominator)) if denominator else 1

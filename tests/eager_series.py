@@ -202,7 +202,9 @@ def binary_rho(F: TruncatedSeries, upto: int) -> HookWeightFunction:
     for n in range(1, upto + 1):
         den = den_series.coeff(n - 1)
         if den == 0:
-            raise DenominatorVanishes(n, "[z^{n-1}] (1+F)^2 = 0")
+            raise DenominatorVanishes(
+                n, "denominator coefficient vanishes ([z^{n-1}] (1+F)^2 = 0)"
+            )
         values.append(F.coeff(n) / den)
     return HookWeightFunction(tuple(values))
 

@@ -467,13 +467,13 @@ class TestInputBounds:
             (["verify", "--phi", "binary", "--rho", "n", "--param", "n=5", "--max-n", "3"],
              "no expression reads --param 'n'\n"),
             (["verify", "--phi", "plane", "--rho", "n^(1/2)", "--max-n", "4"],
-             "a power in --rho is not rational"),
+             "--rho: a power in rho(n) is not rational"),
             (["verify", "--phi", "plane", "--rho", "1+t", "--max-n", "4"],
-             "the variable t may not appear in --rho"),
+             "--rho: the variable t may not appear in rho(n)"),
             (["verify", "--phi", "plane", "--rho", "exp(n)", "--max-n", "4"],
-             "exp/log are not allowed in --rho"),
+             "--rho: exp/log are not allowed in rho(n)"),
             (["verify", "--phi", "plane", "--rho", "log(n)", "--max-n", "4"],
-             "exp/log are not allowed in --rho"),
+             "--rho: exp/log are not allowed in rho(n)"),
             (["verify", "--phi", "plane", "--rho", "n^(10^9)", "--max-n", "4"],
              "too large"),
         ],
@@ -493,10 +493,12 @@ class TestInputBounds:
             (["rho", "--phi", "1+t^2", "--from-model", "inc", "--order", "4"],
              "rho(2) is undefined: denominator coefficient vanishes ([z^1] phi(F) = 0)"),
             (["verify", "--phi", "plane", "--rho", "1/(n-2)", "--max-n", "4"],
-             "rho(2) is undefined: division by zero in --rho (at offsets 0..6)"),
+             "--rho: rho(2) is undefined: division by zero in rho(n) (at offsets 0..6)"),
             (["verify", "--phi", "binary", "--rho", "x+(n-3)^(-1)", "--param", "x=1",
               "--max-n", "5"],
-             "rho(3) is undefined: zero raised to a negative power (at offsets 3..11)"),
+             "--rho: rho(3) is undefined: zero raised to a negative power (at offsets 3..11)"),
+            (["verify", "--phi", "plane", "--rho", "0^(n-3)", "--max-n", "4"],
+             "--rho: rho(1) is undefined: zero raised to a negative power (at offsets 0..6)"),
         ],
     )
     def test_undefined_rho_exits_3_with_one_line(self, capsys, argv, line):
@@ -529,11 +531,10 @@ class TestExpressionErrorsNameTheFlag:
             (["verify", "--phi", "(1+a*t)^2", "--param", "a=1", "--rho", "q/n",
               "--max-n", "3"],
              "--rho: parameter 'q' is not bound (at offsets 0..1)"),
-            # a message that names the flag already is not prefixed
             (["verify", "--phi", "plane", "--rho", "1+t", "--max-n", "4"],
-             "the variable t may not appear in --rho (at offsets 2..3)"),
+             "--rho: the variable t may not appear in rho(n) (at offsets 2..3)"),
             (["verify", "--phi", "plane", "--rho", "exp(n)", "--max-n", "4"],
-             "exp/log are not allowed in --rho (at offsets 0..6)"),
+             "--rho: exp/log are not allowed in rho(n) (at offsets 0..6)"),
             # a bad rational names the flag it was read from
             (["series", "--model", "sg", "--order", "5", "--phi", "kary:1/0"],
              "--phi: zero denominator in rational literal '1/0'"),
@@ -557,6 +558,28 @@ class TestExpressionErrorsNameTheFlag:
              "--G: cannot divide by a series with constant term 0 (at offsets 0..3)"),
             (["rho-forest", "--phi", "binary", "--G", "1+t^x", "--order", "3"],
              "--G: parameter 'x' is not bound (at offsets 4..5)"),
+            # a constant past the interpreter's int/str digit limit prints exactly
+            pytest.param(
+                ["series", "--model", "sg", "--order", "3", "--phi", "(2*10^5000+t)^(1/2)"],
+                f"--phi: constant term 2{'0' * 5000} has no exact rational root of index 2 "
+                "(at offsets 1..18)", id="huge-constant"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "kary:1"],
+             "--phi: kary requires k >= 2, got 1"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "(1+t)^k",
+              "--param", "k:3"],
+             "--param: malformed binding 'k:3', expected NAME=P/Q"),
+            # a rational literal takes ASCII digits in every flag
+            (["series", "--model", "sg", "--order", "3", "--phi", "(1+s*t)^2",
+              "--param", "s=\u0663"],
+             "--param: not a rational literal: '\u0663' (use p or p/q)"),
+            (["verify", "--phi", "plane", "--rho", "\u0661,\u0662,\u0663", "--max-n", "3"],
+             "--rho: not a rational literal: '\u0661' (use p or p/q)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "kary:\u0663"],
+             "--phi: not a rational literal: '\u0663' (use p or p/q)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "kary:\uff13"],
+             "--phi: not a rational literal: '\uff13' (use p or p/q)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "1+\u0663*t^2"],
+             "--phi: non-ASCII character '\u0663' at offset 2"),
         ],
     )
     def test_one_line_names_the_flag(self, capsys, argv, line):

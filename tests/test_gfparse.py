@@ -520,6 +520,19 @@ def test_expression_matches_hand_built_family(text, binding, spec):
     assert evaluate(parse(text), binding, 20) == families.from_spec(spec).phi_series(20)
 
 
+@pytest.mark.parametrize("spec", [spec for *_, spec in BUILTIN_EXPRESSIONS] + [None])
+def test_evaluation_at_z_resumes(spec):
+    # each builtin's own expression, and the polynomial 1 + t^2
+    family = families.from_spec(spec) if spec else families.from_expression("1+t^2")
+    expr, binding = family.expression, family.binding
+    resumed = OnlineSeries(expr, binding)
+    first = list(resumed.at_z(3))
+    whole = OnlineSeries(expr, binding).at_z(7)
+    assert first == whole[:4]
+    assert resumed.at_z(7) == whole
+    assert TruncatedSeries(whole) == evaluate(expr, binding, 7)
+
+
 def test_fuzzed_inputs_parse_or_raise_parse_error():
     rng = random.Random(0xF00D)
     pieces = [

@@ -181,7 +181,7 @@ class TestHookWeightFunction:
 
     @pytest.mark.parametrize("text", ["n^(1/2)", "t", "exp(n)", "log(n)"])
     def test_non_rational_value_names_rho(self, text):
-        with pytest.raises(NonConstantExponent, match="in --rho") as info:
+        with pytest.raises(NonConstantExponent, match=r"in rho\(n\)") as info:
             HookWeightFunction.from_spec(text, 4)
         assert not isinstance(info.value, UndefinedConstant)
         assert "exponent" not in str(info.value)

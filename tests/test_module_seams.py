@@ -1,13 +1,17 @@
-"""The certification oracle and the series half share no code.
+"""The certification oracle and the series half share no code, and only
+the CLI knows its flags.
 
 The oracle (``hooktrees.treeoracle``) checks the series half, so neither
 may lean on the other: every module of the oracle takes nothing from the
 package but its error classes, and the series half's modules import
 nothing from the oracle.  The imports are read from the source, so a
-lazy import inside a function counts too.
+lazy import inside a function counts too.  The string constants are read
+the same way: a flag name in the library would decide, away from the
+CLI, how an error names its flag.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hooktrees"
 ORACLE_MODULES = sorted((PACKAGE / "treeoracle").glob("*.py"))
 SERIES_HALF = ["series.py", "gfparse.py", "families.py", "hookcalc.py"]
+PACKAGE_MODULES = sorted(PACKAGE.rglob("*.py"))
+CLI_FLAGS = (
+    "--phi", "--param", "--F", "--G", "--rho", "--order", "--max-n", "--tree",
+    "--model", "--from-model", "--output",
+)
+FLAG = re.compile(r"(?<![\w-])(?:" + "|".join(CLI_FLAGS) + r")(?![\w-])")
 
 
 def package_imports(path: Path) -> set[str]:
@@ -70,3 +80,25 @@ def test_resolution_of_relative_imports():
     assert "hooktrees.errors" in package_imports(PACKAGE / "treeoracle" / "tally.py")
     assert "hooktrees.gfparse" in package_imports(PACKAGE / "hookcalc.py")
     assert "hooktrees.treeoracle" in package_imports(PACKAGE / "cli.py")
+
+
+def flag_literals(path: Path) -> set[str]:
+    """The CLI flags that the string constants of the module at ``path``
+    name, its docstrings and the literal parts of its f-strings included."""
+    return {
+        flag
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for flag in FLAG.findall(node.value)
+    }
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE_MODULES, ids=lambda path: str(path.relative_to(PACKAGE))
+)
+def test_only_the_cli_holds_a_flag(path):
+    found = flag_literals(path)
+    if path.name == "cli.py":
+        assert found == set(CLI_FLAGS)  # the reader sees every flag where it is
+    else:
+        assert not found, f"{path.name} names {sorted(found)}"
