@@ -247,7 +247,7 @@ def _parse_params(items: list[str]) -> dict:
     for item in items:
         name, eq, value = item.partition("=")
         name = name.strip()
-        if not eq or not name.isidentifier():
+        if not eq or not gfparse.NAME.fullmatch(name):
             raise ValueError(f"malformed binding {item!r}, expected NAME=P/Q")
         if name in gfparse.RESERVED_NAMES:
             raise ValueError(f"cannot bind {name!r}: the name is reserved")
@@ -296,7 +296,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     else:
         family = _read_flag("--phi", families.from_expression, args.phi, binding)
         read = gfparse.parameters(family.expression)
-    report = family.validate(max(size, 2))
+    report = family.validate(size)
     for warning in report.warnings:
         print(f"warning: {family.name}: {warning}", file=sys.stderr)
     if not report.ok and not args.allow_degenerate:
@@ -431,7 +431,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_labellings(args) -> int:
-    tree = treeoracle.parse_tree(args.tree)
+    tree = _read_flag("--tree", treeoracle.parse_tree, args.tree)
     hooks = treeoracle.hook_lengths(tree)
     by_hook = treeoracle.labellings_hook(tree)
     by_recursion = treeoracle.labellings_recursive(tree)

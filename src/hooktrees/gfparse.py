@@ -9,6 +9,7 @@ Accepted syntax (ASCII only)::
     base   := NUMBER | 't' | IDENT | '(' expr ')'
             | ('exp'|'log') '(' expr ')'
     NUMBER := integer, or integer '/' integer written without spaces
+    IDENT  := NAME: an ASCII letter or '_', then ASCII letters, digits, '_'
 
 Identifiers other than ``RESERVED_NAMES`` (``t``, ``exp`` and ``log``)
 are free parameters and must be bound to exact rationals before
@@ -44,6 +45,7 @@ is still being solved for.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
@@ -89,6 +91,7 @@ __all__ = [
     "MAX_POWER_BITS",
     "MAX_EXPONENT_BITS",
     "RESERVED_NAMES",
+    "NAME",
     "OnlineSeries",
     "parse",
     "parameters",
@@ -172,6 +175,8 @@ class Log(GfExpr):
 _FUNCTIONS = {"exp": Exp, "log": Log}
 #: the names that are not parameters: the variable and the functions
 RESERVED_NAMES = ("t", *_FUNCTIONS)
+#: a name, ASCII only: ``str.isalnum`` also takes other scripts' letters
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # the binary operators by precedence, loosest first; each level is one
 # left-associative chain over operands of the next level
 _LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
@@ -212,11 +217,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("number", raw, i, i + len(raw), value))
             i += len(raw)
             continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start, i, None))
+        name = NAME.match(text, i)
+        if name:
+            tokens.append(_Token("ident", name.group(), i, name.end(), None))
+            i = name.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", n, n, None))

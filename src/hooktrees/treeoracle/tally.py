@@ -10,12 +10,14 @@ forest of j trees gives comb(j + k, k) * c**k ordered forests, whichever
 trees of the class are drawn (the multinomial theorem: the k places among
 j + k, then a tree of the class in each), and adds the class's
 signature k times.  So the forests of s vertices split by the size a of
-their largest trees into a block of k trees of size a, drawn from the
-classes of that size, and a stored forest of s - k*a vertices whose trees
-are all smaller than a.  Forests are kept by degree histogram, each as
-parallel lists of hook histograms and counts, so every product of a
-block and a forest runs in C through ``map``.  The forests of n - 1
-vertices go straight into the tally of size n and are never stored.
+their largest trees into a block of k trees of size a and a stored forest
+of s - k*a vertices whose trees are all smaller than a.  A block is an
+ordered forest too, kept in the same shape: by degree histogram, as
+parallel lists of hook histograms and counts, so every product of two
+forests runs in C through ``map``.  One growth step builds both levels:
+the forests from the blocks of each size, and the blocks of a size from
+its classes.  The forests of n - 1 vertices go straight into the tally
+of size n and are never stored.
 
 One pass to size n finishes every smaller size on the way, and tallies
 each size it finishes, grouped as ``{degree histogram: {hook histogram:
@@ -82,6 +84,13 @@ def _check_size(n: int) -> None:
         )
 
 
+# A level of forests maps a degree histogram to (j, hooks, counts): their
+# tree count, and parallel lists of their hook histograms and counts, in
+# which a hook histogram may repeat.  A piece is (j, degrees, hooks, counts).
+_Level = dict[int, tuple[int, list[int], list[int]]]
+_Piece = tuple[int, int, Iterable[int], Iterable[int]]
+
+
 def _grouped_sizes(n: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
     """Yield ``(m, {degrees: {hooks: count}})`` for m = 1..n.
 
@@ -91,12 +100,8 @@ def _grouped_sizes(n: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
     Adding two such ints adds their histograms, since no count reaches
     256.  The counts of one size sum to Catalan(m-1).
     """
-    # forests[s] maps a degree histogram to (j, hooks, counts): the forests
-    # of j trees and s vertices built from the tree sizes taken so far, as
-    # parallel lists.  A hook histogram may repeat in a list; the tally
-    # sums its counts.
-    forests: list[dict[int, tuple[int, list[int], list[int]]]] = [{0: (0, [0], [1])}]
-    forests += [{} for _ in range(n - 2)]
+    # forests[s]: the forests of s vertices from the tree sizes taken so far
+    forests: list[_Level] = [{0: (0, [0], [1])}] + [{} for _ in range(n - 2)]
     top: dict[int, dict[int, int]] = {}
     crown = 1 << 8 * (n - 1)  # the hook of the root of a tree of size n
     for m in range(1, n):
@@ -110,33 +115,20 @@ def _grouped_sizes(n: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
         # Every forest holding k >= 1 trees of size m, and none larger, is a
         # block of those k trees and a forest of trees smaller than m.  The
         # forests of n - 1 vertices are rooted into the top tally at once;
-        # the others are stored, largest s first, so that forests[s - k*m]
-        # still holds only trees smaller than m when it is read.
+        # the others are grown in place.
         blocks = _blocks(tally, (n - 1) // m)
         for k in range(1, len(blocks)):
-            _add_roots(top, _products(blocks[k], k, forests[n - 1 - k * m], crown))
-        for s in range(n - 2, m - 1, -1):
-            stored = forests[s]
-            for k in range(1, s // m + 1):
-                for j, degrees, hooks, counts in _products(blocks[k], k, forests[s - k * m], 0):
-                    entry = stored.get(degrees)
-                    if entry is None:
-                        entry = stored[degrees] = (j, [], [])
-                    entry[1].extend(hooks)
-                    entry[2].extend(counts)
+            _add_roots(top, _products(blocks[k], forests[n - 1 - k * m], crown))
+        _grow(forests, blocks, m)
     if n == 1:  # the lone vertex: a root over the empty forest
         _add_roots(top, [(0, 0, [crown], [1])])
     del forests  # nothing larger grows from them: free them first
     yield n, top
 
 
-def _add_roots(
-    tally: dict[int, dict[int, int]],
-    pieces: Iterable[tuple[int, int, Iterable[int], Iterable[int]]],
-) -> None:
-    """Add a root of out-degree j over each piece ``(j, degrees, hooks,
-    counts)`` of forests and sum the counts into ``tally``; the root's hook
-    is already in the hook keys."""
+def _add_roots(tally: dict[int, dict[int, int]], pieces: Iterable[_Piece]) -> None:
+    """Add a root of out-degree j over each piece of forests and sum the
+    counts into ``tally``; the root's hook is already in the hook keys."""
     for j, degrees, hooks, counts in pieces:
         degrees += 1 << 8 * j
         row = tally.get(degrees)
@@ -147,59 +139,62 @@ def _add_roots(
             row[key] = get(key, 0) + count
 
 
-def _products(
-    blocks: dict[int, tuple[list[int], list[int]]],
-    k: int,
-    forests: dict[int, tuple[int, list[int], list[int]]],
-    lift: int,
-) -> Iterator[tuple[int, int, map, map]]:
+def _store(level: _Level, pieces: Iterable[_Piece]) -> None:
+    """Append each piece to the entry of its degree histogram in ``level``."""
+    for j, degrees, hooks, counts in pieces:
+        entry = level.get(degrees)
+        if entry is None:
+            entry = level[degrees] = (j, [], [])
+        entry[1].extend(hooks)
+        entry[2].extend(counts)
+
+
+def _grow(levels: list[_Level], units: list[_Level], weight: int) -> None:
+    """Add ``units[k]`` times ``levels[s - k*weight]`` to ``levels[s]`` for
+    k = 1..s // weight, largest s first: every level read is as before."""
+    for s in range(len(levels) - 1, weight - 1, -1):
+        for k in range(1, s // weight + 1):
+            _store(levels[s], _products(units[k], levels[s - k * weight], 0))
+
+
+def _products(blocks: _Level, forests: _Level, lift: int) -> Iterator[_Piece]:
     """Every block of k trees before every forest of j trees, as pieces
     ``(j + k, degrees, hooks, counts)`` with ``lift`` added to each hook key.
 
     The k trees of a block and the j of a forest interleave in
-    comb(j + k, k) ways.  Each piece shares one degree histogram, and its
-    longer side runs in C through ``map``.
+    comb(j + k, k) ways.  Each pair of entries shares one degree
+    histogram: the loop runs over the hook keys of the shorter side,
+    adding ``lift`` to each, and the longer side runs in C through ``map``.
     """
-    for block_degrees, (block_hooks, block_counts) in blocks.items():
+    for block_degrees, (k, block_hooks, block_counts) in blocks.items():
         for degrees, (j, hooks, counts) in forests.items():
             ways, degrees = comb(j + k, k), degrees + block_degrees
-            if len(hooks) >= len(block_hooks):
-                for key, count in zip(block_hooks, block_counts):
-                    yield (j + k, degrees, map((key + lift).__add__, hooks),
-                           map((count * ways).__mul__, counts))
+            if len(block_hooks) <= len(hooks):
+                keys, weights = block_hooks, block_counts
             else:
-                lifted = list(map(lift.__add__, block_hooks)) if lift else block_hooks
-                for key, count in zip(hooks, counts):
-                    yield (j + k, degrees, map(key.__add__, lifted),
-                           map((count * ways).__mul__, block_counts))
+                keys, weights, hooks, counts = hooks, counts, block_hooks, block_counts
+            for key, count in zip(keys, weights):
+                yield (j + k, degrees, map((key + lift).__add__, hooks),
+                       map((count * ways).__mul__, counts))
 
 
-def _blocks(
-    classes: dict[int, dict[int, int]], most: int
-) -> list[dict[int, tuple[list[int], list[int]]]]:
-    """The blocks of k = 0..most trees drawn from ``classes``: for each k, a
-    degree histogram maps to parallel lists (hooks, counts).
+def _blocks(classes: dict[int, dict[int, int]], most: int) -> list[_Level]:
+    """The blocks of k = 0..most trees drawn from ``classes``, level k
+    holding the ordered forests of k trees of their size.
 
-    Taking t trees from a class of count c into a block of k trees gives
-    comb(k, t) * c**t blocks for each block of k - t trees drawn from the
-    classes before it, whichever trees of the class are taken.
+    Each class of count c is grown in as units of t = 1..most of its
+    trees, one block of t trees and count c**t; the product with a block
+    of k - t trees from the classes before it supplies the comb(k, t)
+    interleavings, whichever trees of the class are taken.
     """
-    blocks: list[dict[int, tuple[list[int], list[int]]]] = [{0: ([0], [1])}]
+    blocks: list[_Level] = [{0: (0, [0], [1])}] + [{} for _ in range(most)]
     if most == 1:  # the blocks of one tree are the classes: no loop per class
-        return blocks + [{degrees: (list(row), list(row.values()))
-                          for degrees, row in classes.items()}]
-    blocks += [{} for _ in range(most)]
+        blocks[1] = {degrees: (1, list(row), list(row.values()))
+                     for degrees, row in classes.items()}
+        return blocks
     for degrees, row in classes.items():
         for hooks, c in row.items():
-            for k in range(most, 0, -1):
-                for t in range(1, k + 1):
-                    ways, lift = comb(k, t) * c**t, t * hooks
-                    for below_degrees, (below_hooks, below_counts) in blocks[k - t].items():
-                        entry = blocks[k].get(t * degrees + below_degrees)
-                        if entry is None:
-                            entry = blocks[k][t * degrees + below_degrees] = ([], [])
-                        entry[0].extend(map(lift.__add__, below_hooks))
-                        entry[1].extend(map(ways.__mul__, below_counts))
+            _grow(blocks, [{t * degrees: (t, [t * hooks], [c**t])} for t in range(most + 1)], 1)
     return blocks
 
 

@@ -580,6 +580,28 @@ class TestExpressionErrorsNameTheFlag:
              "--phi: not a rational literal: '\uff13' (use p or p/q)"),
             (["series", "--model", "sg", "--order", "3", "--phi", "1+\u0663*t^2"],
              "--phi: non-ASCII character '\u0663' at offset 2"),
+            # a name is ASCII letters, digits and "_" in every flag
+            (["series", "--model", "sg", "--order", "4", "--phi", "1+t+a\u00e9*t^2",
+              "--param", "a\u00e9=1"],
+             "--param: malformed binding 'a\u00e9=1', expected NAME=P/Q"),
+            (["series", "--model", "sg", "--order", "4", "--phi", "1+t+a\u0663*t^2",
+              "--param", "a\u0663=1"],
+             "--param: malformed binding 'a\u0663=1', expected NAME=P/Q"),
+            (["verify", "--phi", "plane", "--rho", "x\u00e9+1/n", "--param", "x\u00e9=1",
+              "--max-n", "3"],
+             "--param: malformed binding 'x\u00e9=1', expected NAME=P/Q"),
+            (["series", "--model", "sg", "--order", "4", "--phi", "1+t^2", "--param", "\u00e9=1"],
+             "--param: malformed binding '\u00e9=1', expected NAME=P/Q"),
+            (["series", "--model", "sg", "--order", "4", "--phi", "1+t+a\u00e9*t^2"],
+             "--phi: non-ASCII character '\u00e9' at offset 5"),
+            (["series", "--model", "sg", "--order", "4", "--phi", "1+t+a\u0663*t^2"],
+             "--phi: non-ASCII character '\u0663' at offset 5"),
+            (["verify", "--phi", "plane", "--rho", "x\u00e9+1/n", "--max-n", "3"],
+             "--rho: non-ASCII character '\u00e9' at offset 1"),
+            (["labellings", "--tree", "(()"], "--tree: unclosed '(' at offset 3"),
+            pytest.param(
+                ["labellings", "--tree", "(" * 201 + ")" * 201],
+                "--tree: tree nests more than 200 levels deep at offset 200", id="deep-tree"),
         ],
     )
     def test_one_line_names_the_flag(self, capsys, argv, line):

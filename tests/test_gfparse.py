@@ -187,6 +187,15 @@ class TestParseErrors:
             parse("sin(t)")
         assert info.value.offset == 0
 
+    @pytest.mark.parametrize("text,offset", [
+        ("\u00e9", 0), ("a\u00e9", 1), ("a\u0663+t", 1), ("1+t+x_\u00e9*t^2", 6),
+    ])
+    def test_a_name_is_ascii(self, text, offset):
+        # str.isalnum would take the letters and digits of other scripts
+        with pytest.raises(ParseError, match="non-ASCII character") as info:
+            parse(text)
+        assert info.value.offset == offset
+
     def test_reserved_name_requires_call(self):
         with pytest.raises(ParseError):
             parse("exp + 1")

@@ -195,6 +195,59 @@ class TestSignatureCounts:
         assert name and name.split() == [name]
 
 
+def entries(pieces):
+    """The sorted (j, degrees, hook, count) of forest pieces or a level."""
+    if isinstance(pieces, dict):
+        pieces = ((j, degrees, hooks, counts) for degrees, (j, hooks, counts) in pieces.items())
+    return sorted((j, degrees, hook, count)
+                  for j, degrees, hooks, counts in pieces
+                  for hook, count in zip(hooks, counts))
+
+
+class TestOneShape:
+    """Blocks are ordered forests in the forests' shape, and the product
+    of two levels is the same whichever side comes first."""
+
+    def test_block_level_k_holds_forests_of_k_trees(self):
+        for m, classes in tally._grouped_sizes(10):
+            trees = catalan(m - 1)
+            for most in range(1, max(9 // m, 2) + 1):
+                blocks = tally._blocks(classes, most)
+                assert len(blocks) == most + 1
+                for k, level in enumerate(blocks):
+                    assert {j for j, *_ in entries(level)} == {k}, (m, most, k)
+                    # the ordered k-tuples of trees of size m
+                    assert sum(count for *_, count in entries(level)) == trees**k
+
+    def test_fast_path_equals_general_level_one(self):
+        for m, classes in tally._grouped_sizes(10):
+            fast = tally._blocks(classes, 1)
+            assert entries(fast[1]) == entries(tally._blocks(classes, 2)[1]), m
+            assert entries(fast[0]) == [(0, 0, 0, 1)]
+
+    def test_products_commute(self, monkeypatch):
+        # every pair of levels that a pass at n = 9 multiplies, as it was
+        # when read: one loop over the shorter side serves either order
+        pairs = []
+        products = tally._products
+
+        def recorded(blocks, forests, lift):
+            pairs.append(tuple({degrees: (j, list(hooks), list(counts))
+                                for degrees, (j, hooks, counts) in level.items()}
+                               for level in (blocks, forests)))
+            return products(blocks, forests, lift)
+
+        monkeypatch.setattr(tally, "_products", recorded)
+        for _ in tally._grouped_sizes(9):
+            pass
+        monkeypatch.undo()
+        uneven = 0
+        for a, b in pairs:
+            assert entries(tally._products(a, b, 0)) == entries(tally._products(b, a, 0))
+            uneven += any(len(x[1]) != len(y[1]) for x in a.values() for y in b.values())
+        assert uneven > 0
+
+
 class TestHookLengths:
     def test_single_node(self):
         assert hook_lengths(LEAF) == [1]
