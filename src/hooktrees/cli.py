@@ -311,13 +311,14 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
         expression = _read_flag(series_flag, gfparse.parse, series_text)
         read |= gfparse.parameters(expression)
     if args.command == "verify":
-        read |= _read_flag("--rho", hookcalc.HookWeightFunction.spec_parameters, args.rho)
+        rho = _read_flag("--rho", hookcalc.HookWeightFunction.read_spec, args.rho)
+        read |= hookcalc.HookWeightFunction.spec_parameters(rho)
     unread = [name for name in binding if name not in read]
     if unread:
         raise ValueError(f"no expression reads --param {', '.join(map(repr, unread))}")
     if args.command == "verify":
         return family, _read_flag(
-            "--rho", hookcalc.HookWeightFunction.from_spec, args.rho, size, binding
+            "--rho", hookcalc.HookWeightFunction.from_spec, rho, size, binding
         )
     if expression is None:
         return family, None

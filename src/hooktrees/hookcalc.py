@@ -91,33 +91,43 @@ class HookWeightFunction(Record):
         return [rational_to_string(v) for v in self.values]
 
     @classmethod
-    def from_spec(cls, text: str, size: int, binding=None) -> "HookWeightFunction":
+    def from_spec(cls, spec, size: int, binding=None) -> "HookWeightFunction":
         """CLI form: comma-separated rationals, or one :mod:`gfparse`
         expression in the hook length ``n`` evaluated at n = 1..size, its
-        other parameters bound by ``binding``.  A division by zero at some
+        other parameters bound by ``binding``; ``spec`` is that text or
+        what :meth:`read_spec` read from it.  A division by zero at some
         n raises :class:`DenominatorVanishes` for that n."""
-        if "," in text:
-            values = tuple(rational_from_string(v) for v in text.split(","))
+        spec = cls.read_spec(spec)
+        if isinstance(spec, str):
+            values = tuple(rational_from_string(v) for v in spec.split(","))
             if len(values) < size:
                 raise ValueError(
                     f"explicit rho table has {len(values)} entries, need {size}"
                 )
             return cls(values[:size])
-        expression = gfparse.parse(text)
         binding = dict(binding or {})
         values = []
         for n in range(1, size + 1):
             binding["n"] = n
             try:
-                values.append(gfparse.const_eval(expression, binding, "in rho(n)"))
+                values.append(gfparse.const_eval(spec, binding, "in rho(n)"))
             except UndefinedConstant as err:
                 raise DenominatorVanishes(n, str(err)) from None
         return cls(values)
 
     @staticmethod
-    def spec_parameters(text: str) -> set[str]:
-        """The parameters that :meth:`from_spec` reads from ``text``."""
-        return set() if "," in text else gfparse.parameters(gfparse.parse(text)) - {"n"}
+    def read_spec(spec):
+        """``spec`` as :meth:`from_spec` and :meth:`spec_parameters` read
+        it: the text of a comma table as it is, other text parsed into
+        its expression, and an expression as it is.  Reading the text
+        once lets a caller ask for both without parsing it twice."""
+        return gfparse.parse(spec) if isinstance(spec, str) and "," not in spec else spec
+
+    @staticmethod
+    def spec_parameters(spec) -> set[str]:
+        """The parameters that :meth:`from_spec` reads from ``spec``."""
+        spec = HookWeightFunction.read_spec(spec)
+        return set() if isinstance(spec, str) else gfparse.parameters(spec) - {"n"}
 
 
 # --- the triangular walk -------------------------------------------------------------

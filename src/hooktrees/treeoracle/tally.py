@@ -22,23 +22,27 @@ of size n and are never stored.
 One pass to size n finishes every smaller size on the way, and tallies
 each size it finishes, grouped as ``{degree histogram: {hook histogram:
 count}}``.  A weighted sum reads an index of that tally which lists every
-distinct block once: each degree histogram, and each hook histogram
-split at ``k = n // 3`` into a low block (hooks 1..k) and a high block
-(hooks k+1..n).  Far fewer blocks than signatures occur (at n = 13, 320
-low and 267 high blocks against 9,288 signatures), so the weights are
-multiplied out once per block; a hook histogram then costs one product
-of its two blocks and a signature one multiply-add, run in C by ``map``
-and ``sum``.
+distinct block once: each degree histogram (a row), and each hook
+histogram split at ``k = n // 3`` into a low block (hooks 1..k) and a
+high block (hooks k+1..n).  Far fewer blocks than signatures occur (at
+n = 13, 320 low and 267 high blocks against 9,288 signatures), so the
+weights are multiplied out once per block, field by field, and a
+signature costs two lookups and two multiplies, run in C by ``map`` and
+``sum``.  A field of weight 1 is skipped, and so is every lookup into a
+side whose blocks all weigh 1: rho = 1, the simply generated case, sums
+each row's counts alone.
 
 The hook side of a sum depends on the size and rho alone, and the hook
 length formulas are certified by summing one rho against one family
 after another.  So each size keeps, per distinct rho table (keyed by
 rho's values at 1..n), the hook denominator, the weight of each
-distinct block and one hook sum per degree histogram, summed the first
-time some family weighs that histogram nonzero: O(rows + blocks)
-integers per table per size, about 27 kB at n = 13 and 114 kB at
-n = 16.  A later family at the same size and rho costs its degree
-weights and one multiply per degree histogram it weighs nonzero.
+distinct block and one hook sum per row, summed the first time some
+family weighs that row nonzero.  A first sum at a size and rho reads
+the signatures of the rows it weighs and no others (binary weighs 7 of
+the 77 rows at n = 13, holding 1,850 of the 9,288 signatures).  What is
+kept is O(rows + blocks) integers per table per size, about 27 kB at
+n = 13 and 112 kB at n = 16.  A later family at the same size and rho
+costs its degree weights and one multiply per row it weighs nonzero.
 
 The tests hold this oracle against two references, both kept in
 ``tests/literal_oracle.py`` and not in the package: the literal stream
@@ -55,7 +59,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import compress, repeat
 from math import comb, prod
-from operator import getitem, mul
+from operator import mul
 
 from ..errors import RhoRangeExceeded, SizeLimitExceeded
 
@@ -65,8 +69,9 @@ __all__ = ["TALLY_LIMIT", "backend_name", "signature_counts", "weighted_sum"]
 # about 0.15 s on one core of a shared 2-vCPU Xeon VM, a quarter of the time
 # of the unordered-tree walk kept in the tests.  A first weighted_sum(16) in
 # a fresh process, which indexes every size up to 16, takes about 0.3 s and
-# 48 MB peak RSS.  Each size up costs about 2.4 times the time and twice the
-# memory (0.88 s and 168 MB for the pass alone at 18).
+# 43 MB peak RSS (plane at rho = 1/n, which weighs every row).  Each size up
+# costs about 2.4 times the time and twice the memory (0.88 s and 168 MB for
+# the pass alone at 18).
 TALLY_LIMIT = 16
 
 
@@ -221,29 +226,33 @@ class _SizeIndex:
     """The tally of one size, with every distinct block listed once, and
     the hook side of each rho table weighed at that size so far.
 
-    ``degrees``, ``js`` and ``counts`` hold one entry per degree histogram
-    (a row): its bytes, the indices of its hook histograms and their
-    counts.  Hook histogram j is ``low[lo[j]] + high[hi[j]]``, split after
-    ``split = n // 3`` hooks.  ``hooks`` maps rho's values at 1..n, as
-    ``(numerator, denominator)`` pairs, to their :class:`_HookSide`.
+    ``degrees`` and ``counts`` hold one entry per degree histogram (a
+    row): its bytes and the counts of its signatures.  A hook histogram
+    is split after ``split = n // 3`` hooks into a low and a high block,
+    and ``lo[r]`` and ``hi[r]`` hold the ids of the two blocks of each
+    signature of row r, parallel to ``counts[r]``: block ids index
+    ``low`` and ``high``, the distinct blocks as bytes.  ``hooks`` maps
+    rho's values at 1..n, as ``(numerator, denominator)`` pairs, to their
+    :class:`_HookSide`.
     """
 
-    __slots__ = ("degrees", "js", "counts", "split", "low", "high", "lo", "hi", "hooks")
+    __slots__ = ("degrees", "counts", "split", "lo", "hi", "low", "high", "hooks")
 
     def __init__(self, n: int, groups: dict[int, dict[int, int]]) -> None:
-        hook_ids: dict[int, int] = {}
         self.degrees = tuple(degrees.to_bytes(n, "little") for degrees in groups)
-        self.js = tuple(_number(hook_ids, row) for row in groups.values())
         self.counts = tuple(tuple(row.values()) for row in groups.values())
         # At n = 12, 13 and 16, summing without a split (k = 0) was 3 to 4
-        # times slower; splits from n // 4 to n // 2 came within about a
-        # third of each other, and n // 3 sits between them.  The low block
-        # is the first k bytes of a hook histogram, the high block the rest.
+        # times slower.  In first sums, the splits n // 4, n // 3 and
+        # 2n // 5 came within about a tenth of each other and n // 2 was up
+        # to a third slower; n // 3 sits in the middle, and the index builds
+        # in about the same time at each.  The low block is the first k
+        # bytes of a hook histogram, the high block the rest.
         self.split = k = n // 3
         low_ids: dict[int, int] = {}
         high_ids: dict[int, int] = {}
-        self.lo = _number(low_ids, map(((1 << 8 * k) - 1).__and__, hook_ids))
-        self.hi = _number(high_ids, map((8 * k).__rrshift__, hook_ids))
+        mask, shift = ((1 << 8 * k) - 1).__and__, (8 * k).__rrshift__
+        self.lo = tuple(_number(low_ids, map(mask, row)) for row in groups.values())
+        self.hi = tuple(_number(high_ids, map(shift, row)) for row in groups.values())
         self.low = tuple(block.to_bytes(k, "little") for block in low_ids)
         self.high = tuple(block.to_bytes(n - k, "little") for block in high_ids)
         self.hooks: dict[tuple[tuple[int, int], ...], _HookSide] = {}
@@ -253,9 +262,10 @@ class _HookSide:
     """The hook side of the weighted sums of one size at one rho table.
 
     Every weight of rho is put over ``denominator``; ``low`` and ``high``
-    hold the integer weight of each distinct block, and ``sums[r]`` the
-    hook sum of row r, ``sum(count * low[lo[j]] * high[hi[j]])`` over its
-    hook histograms j, or None until a family weighs row r nonzero.
+    hold the integer weight of each distinct block, or None where every
+    block of that side weighs 1, and ``sums[r]`` the hook sum of row r,
+    ``sum(count * low[a] * high[b])`` over its signatures with block ids
+    a and b, or None until a family weighs row r nonzero.
     """
 
     __slots__ = ("denominator", "low", "high", "sums")
@@ -263,20 +273,36 @@ class _HookSide:
     def __init__(self, index: _SizeIndex, ratios: tuple[tuple[int, int], ...]) -> None:
         tables, self.denominator = _power_tables(len(ratios), ratios, 1)
         k = index.split
-        low_tables, high_tables = tables[:k], tables[k:]
-        self.low = [prod(map(getitem, low_tables, block)) for block in index.low]
-        self.high = [prod(map(getitem, high_tables, block)) for block in index.high]
+        self.low = _weigh(index.low, tables[:k])
+        self.high = _weigh(index.high, tables[k:])
         self.sums: list[int | None] = [None] * len(index.degrees)
 
-    def fill(self, index: _SizeIndex, weights: list[int]) -> None:
-        """Sum the hooks of each row that ``weights`` weighs nonzero and
-        that has no sum yet."""
-        by_hooks = list(map(mul, map(self.low.__getitem__, index.lo),
-                            map(self.high.__getitem__, index.hi)))
-        sums, js, counts = self.sums, index.js, index.counts
-        for r in compress(range(len(sums)), weights):
+    def fill(self, index: _SizeIndex, rows: Iterable[int]) -> None:
+        """Sum the hooks of each row in ``rows`` that has no sum yet,
+        reading the block ids of a side only where its blocks weigh
+        other than 1."""
+        sums, counts, low, high = self.sums, index.counts, self.low, self.high
+        for r in rows:
             if sums[r] is None:
-                sums[r] = sum(map(mul, counts[r], map(by_hooks.__getitem__, js[r])))
+                terms: Iterable[int] = counts[r]
+                if low is not None:
+                    terms = map(mul, terms, map(low.__getitem__, index.lo[r]))
+                if high is not None:
+                    terms = map(mul, terms, map(high.__getitem__, index.hi[r]))
+                sums[r] = sum(terms)
+
+
+def _weigh(keys: tuple[bytes, ...], tables: list[list[int]]) -> list[int] | None:
+    """The weight of each histogram in ``keys``, the product over its
+    fields f of ``tables[f][key[f]]``, or None if every field weighs 1.
+
+    Each field is weighed by one ``map`` over its column of the keys, and
+    a field whose table is all 1 (a weight of 1: the hook lengths where
+    rho is 1, the out-degrees of plane) is skipped.
+    """
+    columns = [map(table.__getitem__, column) for table, column in zip(tables, zip(*keys))
+               if table.count(1) < len(table)]
+    return list(map(prod, zip(*columns))) if columns else None
 
 
 def _power_tables(
@@ -324,21 +350,22 @@ def weighted_sum(
 
     Trees are grouped by signature (see :func:`signature_counts`), and
     each distinct degree histogram, low hook block and high hook block is
-    weighed once.  Every weight is put over one common denominator, the
-    terms are summed as Python ints, and one Fraction is built at the
-    end.  The first call for a size tallies every size up to it and
-    indexes each size not indexed yet, so asking for the largest size
-    first tallies once.
+    weighed once, field by field, skipping every field of weight 1.
+    Every weight is put over one common denominator, the terms are summed
+    as Python ints, and one Fraction is built at the end.  The first call
+    for a size tallies every size up to it and indexes each size not
+    indexed yet, so asking for the largest size first tallies once.
 
     The hook side of a sum depends on n and rho alone: the size's index
     keeps it for each rho table, keyed by rho's values at 1..n, so equal
     tables share it whatever their length past n.  It holds the hook
     denominator, the weight of each distinct block and one hook sum per
     degree row, filled the first time some family weighs the row
-    nonzero; that is O(rows + blocks) integers per distinct table per
-    size (at n = 13, 77 rows and 587 blocks), and nothing is kept per
-    hook histogram or per signature.  A later call at the same n and rho
-    costs its degree weights and one multiply per nonzero row.
+    nonzero, from that row's signatures alone; that is O(rows + blocks)
+    integers per distinct table per size (at n = 13, 77 rows and 587
+    blocks), and nothing is kept per hook histogram or per signature.  A
+    later call at the same n and rho costs its degree weights and one
+    multiply per nonzero row.
     """
     _check_size(n)
     if rho.size < n:
@@ -357,12 +384,12 @@ def weighted_sum(
     degree_tables, denominator = _power_tables(
         n, [(w.numerator, w.denominator) for w in map(family.weight_of_degree, range(n))], 0
     )
-    # the weight of each degree row, prod(map(getitem, degree_tables, degrees))
-    weights = list(map(prod, map(map, repeat(getitem), repeat(degree_tables), index.degrees)))
+    # a row weighs 1 where every out-degree does (plane)
+    weights = _weigh(index.degrees, degree_tables) or [1] * len(index.degrees)
     # a polynomial phi weighs most degree histograms 0 (binary: 87% of the
     # signatures at n = 16), and their hook sums are neither made nor read
     sums = hooks.sums
     if None in compress(sums, weights):
-        hooks.fill(index, weights)
+        hooks.fill(index, compress(range(len(sums)), weights))
     total = sum(map(mul, compress(weights, weights), compress(sums, weights)))
     return Fraction(total, denominator * hooks.denominator)

@@ -269,6 +269,28 @@ class TestVerifyCommand:
         assert out.count("equal=true") == 12
         assert passes == [12]
 
+    @pytest.mark.parametrize("rho", ["x+1/n", "1,x"])
+    def test_rho_is_parsed_at_most_once(self, capsys, monkeypatch, rho):
+        # an expression in n is parsed once, for its parameters and its
+        # values alike; a comma table is never parsed as an expression
+        parsed = []
+        parse = gfparse.parse
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(gfparse, "parse", counted)
+        code, _, err = run_cli(
+            capsys, "verify", "--phi", "binary", "--rho", rho, "--param", "x=1",
+            "--max-n", "2",
+        )
+        assert parsed.count(rho) == ("," not in rho)
+        if "," in rho:  # the table reads no parameter, and "x" is no rational
+            assert code == 2 and err == "error: no expression reads --param 'x'\n"
+        else:
+            assert code == 0
+
     def test_max_n_bound(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--phi", "binary", "--rho", "1", "--max-n", "13"

@@ -172,6 +172,17 @@ class TestHookWeightFunction:
         assert HookWeightFunction.spec_parameters("x + 1/(n*2^(n-1))") == {"x"}
         assert HookWeightFunction.spec_parameters("x,1/2") == set()
 
+    @pytest.mark.parametrize("text", ["x + 1/(n*2^(n-1))", "1/n", "1,2/3,x,4", "1,1/2"])
+    def test_a_spec_read_once_reads_like_its_text(self, text):
+        spec = HookWeightFunction.read_spec(text)
+        assert (spec == text) == ("," in text)  # a table is kept as text
+        assert HookWeightFunction.read_spec(spec) is spec
+        assert HookWeightFunction.spec_parameters(spec) == HookWeightFunction.spec_parameters(text)
+        if "x" not in text.split(","):
+            binding = {"x": Q(2, 5)}
+            assert (HookWeightFunction.from_spec(spec, 2, binding)
+                    == HookWeightFunction.from_spec(text, 2, binding))
+
     @pytest.mark.parametrize("text, index", [("1/(n-2)", 2), ("(n-3)^(-1)", 3), ("0^(n-4)", 1)])
     def test_undefined_value_names_its_hook(self, text, index):
         with pytest.raises(DenominatorVanishes) as info:

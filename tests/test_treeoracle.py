@@ -373,10 +373,11 @@ class TestWeightedSum:
         assert sorted(tally._indexed) == list(range(1, TALLY_LIMIT + 1))
         for m, index in tally._indexed.items():
             flat = {}
-            for degrees, js, counts in zip(index.degrees, index.js, index.counts):
-                assert len(js) == len(counts)
-                for j, count in zip(js, counts):
-                    flat[degrees + index.low[index.lo[j]] + index.high[index.hi[j]]] = count
+            for degrees, lo, hi, counts in zip(index.degrees, index.lo, index.hi, index.counts):
+                assert len(lo) == len(hi) == len(counts)
+                for a, b, count in zip(lo, hi, counts):
+                    flat[degrees + index.low[a] + index.high[b]] = count
+            assert len(flat) == sum(map(len, index.counts)), m  # no signature twice
             assert sum(flat.values()) == catalan(m - 1), m
             assert flat == signature_counts(m), m
 
@@ -453,10 +454,19 @@ class TestHookSideReuse:
             weighted_sum(n, plane, HookWeightFunction.from_spec("n", n))
             index = tally._indexed[n]
             assert len(index.hooks) == (1 if n == 1 else 2)
+            rows = len(index.degrees)
+            assert len(index.counts) == len(index.lo) == len(index.hi) == rows
             for hooks in index.hooks.values():
-                assert len(hooks.sums) == len(index.degrees) == len(index.js)
-                assert len(hooks.low) == len(index.low) and len(hooks.high) == len(index.high)
+                assert len(hooks.sums) == rows
+                for weights, blocks in ((hooks.low, index.low), (hooks.high, index.high)):
+                    assert weights is None or len(weights) == len(blocks)
                 assert None not in hooks.sums  # plane weighs every row
+            # rho = 1 weighs every block 1; rho = n weighs every high block
+            one = index.hooks[((1, 1),) * n]
+            assert one.low is one.high is None
+            if n > 1:
+                assert len(index.hooks[tuple((h, 1) for h in range(1, n + 1))].high) == len(
+                    index.high)
 
     def test_a_larger_size_keeps_the_smaller_indexes(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
@@ -480,6 +490,59 @@ class TestHookSideReuse:
         # binary alone filled the new entry: the rows only plane weighs are empty
         (hooks,) = index.hooks.values()
         assert None in hooks.sums and None not in old.hooks[next(iter(old.hooks))].sums
+
+    def test_weight_one_fields_are_skipped_exactly(self, monkeypatch):
+        # rho = 1 on every hook, on the low hooks 1..n//3 only, on the high
+        # hooks only, and at random hooks; phi = 1 on every out-degree
+        # (plane) and at some of them (the table)
+        monkeypatch.setattr(tally, "_indexed", {})
+        rng = Random(19)
+        one = Q(1)
+        fams = [families.from_spec(spec) for spec in ("binary", "plane", "labelled")]
+        fams.append(DegreeTable([one, Q(0), one, Q(-3, 7), one, Q(0), one] * 2))
+        for n in range(1, 15):
+            k = n // 3
+            tables = {
+                "one": [one] * n,
+                "low one": [one] * k + random_weights(rng, n - k),
+                "high one": (random_weights(rng, k) if k else []) + [one] * (n - k),
+                "random ones": [rng.choice((one, w)) for w in random_weights(rng, n)],
+            }
+            for label, values in tables.items():
+                rho = HookWeightFunction(values)
+                for fam in fams:
+                    assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (
+                        label, fam.name, n)
+                # a side whose hooks all weigh 1 keeps no block weights
+                hooks = tally._indexed[n].hooks[tuple(v.as_integer_ratio() for v in values)]
+                assert (hooks.low is None) == (values[:k] == [one] * k), (label, n)
+                assert (hooks.high is None) == (values[k:] == [one] * (n - k)), (label, n)
+
+    def test_a_miss_reads_no_block_ids_of_rows_weighed_zero(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        n = 12
+        plane, binary = families.from_spec("plane"), families.from_spec("binary")
+        weighted_sum(n, plane, HookWeightFunction.from_spec("2", n))  # index every size
+        index = tally._indexed[n]
+        rho = HookWeightFunction(random_weights(Random(12), n))
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("the block ids of a row weighed 0 were read")
+
+        # binary weighs a row 0 exactly when some vertex has out-degree 3 or more
+        zero = {r for r, degrees in enumerate(index.degrees) if any(degrees[3:])}
+        assert zero and len(zero) < len(index.degrees)
+        lo, hi = index.lo, index.hi
+        index.lo = tuple(Unread() if r in zero else ids for r, ids in enumerate(lo))
+        index.hi = tuple(Unread() if r in zero else ids for r, ids in enumerate(hi))
+        assert weighted_sum(n, binary, rho) == per_signature_sum(n, binary, rho)
+        hooks = index.hooks[tuple(v.as_integer_ratio() for v in rho.values)]
+        assert hooks.low is not None and hooks.high is not None
+        assert {r for r, hook_sum in enumerate(hooks.sums) if hook_sum is None} == zero
+        index.lo, index.hi = lo, hi
+        assert weighted_sum(n, plane, rho) == per_signature_sum(n, plane, rho)
+        assert None not in hooks.sums
 
 
 def labellings_by_permutations(tree):
