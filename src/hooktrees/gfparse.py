@@ -633,8 +633,8 @@ class OnlineSeries:
     cannot take.  :meth:`extend` appends the next coefficient F_m and
     computes coefficient m of the expression in O(m) operations per
     node; coefficient m depends on F_m only through the term
-    ``[t^1] * F_m``.  :meth:`retract` undoes one :meth:`extend`, and
-    :meth:`at_z` extends F as the series z.
+    ``[t^1] * F_m``.  :meth:`peek` computes it at F_m = 0 and leaves the
+    series as it was, and :meth:`at_z` extends F as the series z.
     """
 
     def __init__(self, expr: GfExpr, binding: ParamBinding):
@@ -668,14 +668,15 @@ class OnlineSeries:
             self.extend(_ONE if len(coeffs) == 1 else _ZERO)
         return coeffs
 
-    def retract(self) -> None:
-        """Drop the last coefficient of F and of the expression, so that
-        :meth:`extend` can run again with another value."""
-        if len(self._F.c) < 2:
-            raise ValueError("nothing to retract")
-        for node in (self._F, *self._nodes):
+    def peek(self) -> Fraction:
+        """What :meth:`extend` would return for F's next coefficient 0;
+        the series is left as it was."""
+        saved = [(node, node.top) for node in (self._F, *self._nodes)]
+        value = self.extend(_ZERO)
+        for node, top in saved:
             node.c.pop()
-            node.top = min(node.top, len(node.c) - 1)
+            node.top = top
+        return value
 
     def _add(self, node: _Node) -> _Node:
         node.top = 0 if node.c[0] else -1

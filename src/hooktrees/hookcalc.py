@@ -24,11 +24,11 @@ and a known F_n gives :func:`rho_from_series` its denominators.
 rho(n) = F_n / d_n from them.
 
 :func:`rho_from_forest` reads the relation from G = phi(F), so d_n =
-G_{n-1} is given and F is unknown.  It keeps its own loop: F_n is solved
+G_{n-1} is given and F is unknown.  It is the same walk: F_n is solved
 from ``[z^n] phi(F) = G_n``, which holds F_n linearly with coefficient
-``phi_1``, so each step extends ``phi(F)`` with F_n = 0, retracts, and
-extends again with the solved value.  The tests hold the solvers
-against composition, against the eager series algebra in
+``phi_1``, so its callback peeks at ``[z^n] phi(F)`` with F_n = 0 and
+the walk extends ``phi(F)`` by the solved value.  The tests hold the
+solvers against composition, against the eager series algebra in
 ``tests/eager_series.py`` and against the closed forms of
 ``tests/test_catalogue.py``.
 """
@@ -133,13 +133,12 @@ class HookWeightFunction(Record):
 # --- the triangular walk -------------------------------------------------------------
 
 
-def _walk(family: DegreeWeightFamily, upto: int, next_coefficient):
+def _walk(phi_of_F: gfparse.OnlineSeries, upto: int, next_coefficient):
     """For n = 1..upto, F_n = ``next_coefficient(n, d_n)`` with
-    ``d_n = [z^{n-1}] phi(F)``; returns F, with ``F(0) = 0``, and
-    ``[d_1, .., d_upto]``."""
+    ``d_n = [z^{n-1}] phi(F)``, ``phi_of_F`` a fresh ``family.phi_at()``;
+    returns F, with ``F(0) = 0``, and ``[d_1, .., d_upto]``."""
     if upto < 1:
         raise ValueError("order must be at least 1")
-    phi_of_F = family.phi_at()
     F = [Fraction(0)]
     for n in range(1, upto + 1):
         if n > 1:
@@ -166,7 +165,7 @@ _MODELS = {"sg": lambda n, d: d, "inc": lambda n, d: d / n}
 def solve_simply_generated(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     """The unique series T with ``T(0)=0`` and ``T = z*phi(T)``: the walk
     with ``T_n = [z^{n-1}] phi(T)``."""
-    return _walk(family, order, _MODELS["sg"])[0]
+    return _walk(family.phi_at(), order, _MODELS["sg"])[0]
 
 
 def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
@@ -176,7 +175,7 @@ def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     :func:`egf_counts` for the counts ``T_n`` themselves.  The walk with
     ``n*[z^n]T = [z^{n-1}] phi(T)``.
     """
-    return _walk(family, order, _MODELS["inc"])[0]
+    return _walk(family.phi_at(), order, _MODELS["inc"])[0]
 
 
 def egf_counts(series: TruncatedSeries) -> list[Fraction]:
@@ -196,7 +195,7 @@ def rho_from_series(
     Raises :class:`DenominatorVanishes` where the quotient is undefined.
     """
     _check_tree_series(F, upto)
-    _, d = _walk(family, upto, lambda n, d_n: F.coeff(n))
+    _, d = _walk(family.phi_at(), upto, lambda n, d_n: F.coeff(n))
     return _quotients(F.coefficients, d, "phi(F)")
 
 
@@ -204,7 +203,7 @@ def rho_from_model(family: DegreeWeightFamily, order: int, model: str) -> HookWe
     """:func:`rho_from_series` of the series that ``model`` solves: ``"sg"``
     as :func:`solve_simply_generated`, ``"inc"`` as :func:`solve_increasing`.
     The quotients take their denominators from the walk that solves it."""
-    F, d = _walk(family, order, _MODELS[model])
+    F, d = _walk(family.phi_at(), order, _MODELS[model])
     return _quotients(F.coefficients, d, "phi(F)")
 
 
@@ -217,7 +216,7 @@ def series_from_rho(
         raise RhoRangeExceeded(
             f"rho covers 1..{rho.size} but order {order} was requested"
         )
-    return _walk(family, order, lambda n, d_n: rho(n) * d_n)[0]
+    return _walk(family.phi_at(), order, lambda n, d_n: rho(n) * d_n)[0]
 
 
 def rho_from_forest(
@@ -227,8 +226,9 @@ def rho_from_forest(
 
     Solves ``phi(F) = G`` for the tree series F with ``F(0) = 0``, then
     ``rho(n) = [z^n] F / [z^{n-1}] G``.  F_n enters ``[z^n] phi(F)``
-    linearly, with coefficient ``phi_1``, so each step evaluates
-    ``[z^n] phi(F)`` with F_n = 0, retracts it and solves for F_n.
+    linearly, with coefficient ``phi_1``, so the walk's rule is
+    ``F_n = (G_n - [z^n] phi(F)|_{F_n = 0}) / phi_1``, the second term a
+    :meth:`~gfparse.OnlineSeries.peek`; its d list is then G_0..G_{upto-1}.
     Requires ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
     """
     if upto < 1:
@@ -247,14 +247,9 @@ def rho_from_forest(
         raise NotInvertible(
             "phi_1 = 0: the degree-weight series has no compositional inverse"
         )
-    F = [Fraction(0)]
     phi_of_F = family.phi_at()
-    for n in range(1, upto + 1):
-        rest = phi_of_F.extend(Fraction(0))
-        phi_of_F.retract()
-        F.append((G.coeff(n) - rest) / phi1)
-        phi_of_F.extend(F[n])
-    return _quotients(F, G.coefficients[:upto], "G")
+    F, d = _walk(phi_of_F, upto, lambda n, d_n: (G.coeff(n) - phi_of_F.peek()) / phi1)
+    return _quotients(F.coefficients, d, "G")
 
 
 def _check_tree_series(F: TruncatedSeries, upto: int) -> None:

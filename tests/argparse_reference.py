@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify the identity by exhaustive enumeration")
     p.add_argument("--rho", required=True,
-                   help="named table (1, 1/n, n) or explicit comma-separated rationals")
+                   help="comma-separated rho(1),rho(2),... or an expression in the hook length n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n",
                    help=f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})")
     add_common(p)

@@ -59,7 +59,12 @@ from math import factorial, prod
 import pytest
 
 from hooktrees import families
-from hooktrees.hookcalc import HookWeightFunction, rho_from_series, series_from_rho
+from hooktrees.hookcalc import (
+    HookWeightFunction,
+    rho_from_forest,
+    rho_from_series,
+    series_from_rho,
+)
 from hooktrees.series import TruncatedSeries
 from hooktrees.treeoracle import TALLY_LIMIT, weighted_sum
 
@@ -204,3 +209,21 @@ def test_rho_from_series_gives_rho_back(name):
     family, rho, closed = unpack(name, ORDER)
     F = TruncatedSeries([0] + [closed(n) for n in range(1, ORDER + 1)])
     assert rho_from_series(F, family, ORDER) == rho
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [(name, None) for name in CATALOGUE]
+    + [(spec, x) for spec, (_, points) in POLYNOMIALS.items() for x in points],
+)
+def test_rho_from_forest_gives_rho_back(name, x):
+    if x is None:
+        family, rho, closed = unpack(name, ORDER)
+        F = [0] + [closed(n) for n in range(1, ORDER + 1)]
+    else:
+        family = families.from_spec(name)
+        rho, series = at(name, x, ORDER)
+        F = series.coefficients
+    # the forest form from the tree relation: G_k = F_{k+1} / rho(k+1)
+    G = TruncatedSeries([F[k + 1] / rho(k + 1) for k in range(ORDER)])
+    assert rho_from_forest(G, family, ORDER - 1).values == rho.values[: ORDER - 1]

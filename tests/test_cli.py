@@ -163,6 +163,26 @@ class TestRhoCommand:
         assert (code, out) == (0, " ".join(["1"] * order) + "\n")
         assert len(calls) == 2 * order - 1
 
+    @pytest.mark.parametrize("order", [2, 7, 30])
+    def test_forest_walks_phi_of_F_once(self, capsys, monkeypatch, order):
+        # --G to order N and validate: N extends each; the walk peeks at
+        # every n and steps from n = 2 on: 2N - 1 more
+        calls = []
+        extend = gfparse.OnlineSeries.extend
+
+        def counted(self, f):
+            calls.append(f)
+            return extend(self, f)
+
+        monkeypatch.setattr(gfparse.OnlineSeries, "extend", counted)
+        code, out, _ = run_cli(
+            capsys, "rho-forest", "--phi", "labelled", "--G", "1/(1-t)",
+            "--order", str(order),
+        )
+        expected = " ".join(["1"] + [f"1/{n}" for n in range(2, order + 1)])
+        assert (code, out) == (0, expected + "\n")
+        assert len(calls) == 4 * order - 1
+
     def test_json_round_trips_rationals(self, capsys):
         code, out, _ = run_cli(
             capsys, "rho", "--phi", "labelled", "--from-model", "inc",

@@ -341,14 +341,16 @@ class TestOnlineEvaluation:
     def test_matches_eager_series_operations(self, text, reference):
         assert evaluate(parse(text), {}, 12) == reference(identity(12))
 
-    def test_retract_then_extend_with_a_changed_coefficient(self):
+    def test_peek_is_the_next_coefficient_at_zero(self):
         # the F_n = 0 probe that rho_from_forest makes at every step
         expr = parse("exp(t)*(1+t^2)^(1/2)/(1-t)^2+t")
-        online = OnlineSeries(expr, {})
-        online.extend(Q(1))
-        online.extend(Q(-2))
-        online.extend(Q(0))
-        online.retract()
+        online, fed = OnlineSeries(expr, {}), OnlineSeries(expr, {})
+        for f in (Q(1), Q(-2)):
+            online.extend(f)
+            fed.extend(f)
+        before = list(online.coefficients)
+        assert online.peek() == fed.extend(Q(0))
+        assert online.coefficients == before
         assert online.extend(Q(5, 3)) == online.coefficients[3]
         F = TruncatedSeries([0, 1, -2, Q(5, 3)])
         assert online.coefficients == list(evaluate(expr, {}, 3).compose(F).coefficients)
@@ -366,12 +368,9 @@ class TestOnlineEvaluation:
         with pytest.raises(TypeError):
             online.extend(0.5)
 
-    def test_retract_needs_a_step(self):
+    def test_peek_on_a_fresh_series(self):
         online = OnlineSeries(parse("1+t"), {})
-        with pytest.raises(ValueError):
-            online.retract()
-        online.extend(Q(1))
-        online.retract()
+        assert online.peek() == 0
         assert online.coefficients == [1]
 
     def test_huge_exponent_of_a_zero_constant_series_costs_nothing(self):
@@ -449,13 +448,9 @@ def test_online_nodes_match_the_eager_reference(case, data):
     assert at_z.compose(F) == expected
     online = OnlineSeries(expr, binding)
     for m, f in enumerate(values, 1):
-        online.extend(f + 1)  # a wrong guess, taken back
-        online.retract()
-        assert online.extend(f) == expected.coeff(m)
-    for _ in range(3):
-        online.retract()
-    for f in values[-3:]:
-        online.extend(f)
+        # coefficient m holds F_m only through [t^1] * F_m, as F(0) = 0
+        at_zero = online.peek()
+        assert online.extend(f) == expected.coeff(m) == at_zero + at_z.coeff(1) * f
     assert online.coefficients == list(expected.coefficients)
     assert all(type(c) is Q for c in online.coefficients)
 
