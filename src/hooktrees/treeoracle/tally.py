@@ -41,8 +41,11 @@ family weighs that row nonzero.  A first sum at a size and rho reads
 the signatures of the rows it weighs and no others (binary weighs 7 of
 the 77 rows at n = 13, holding 1,850 of the 9,288 signatures).  What is
 kept is O(rows + blocks) integers per table per size, about 27 kB at
-n = 13 and 112 kB at n = 16.  A later family at the same size and rho
-costs its degree weights and one multiply per row it weighs nonzero.
+n = 13 and 112 kB at n = 16.  The degree side likewise depends on the
+size and the family alone, and each size keeps it per distinct family
+(keyed by phi's values at 0..n-1): the weight of each row and the
+degree denominator.  So a later call at the same size, rho and family
+costs one multiply per row it weighs nonzero.
 
 The tests hold this oracle against two references, both kept in
 ``tests/literal_oracle.py`` and not in the package: the literal stream
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import comb, prod
 from operator import mul
 
@@ -233,10 +236,12 @@ class _SizeIndex:
     signature of row r, parallel to ``counts[r]``: block ids index
     ``low`` and ``high``, the distinct blocks as bytes.  ``hooks`` maps
     rho's values at 1..n, as ``(numerator, denominator)`` pairs, to their
-    :class:`_HookSide`.
+    :class:`_HookSide`, and ``phis`` maps phi's values at 0..n-1, as one
+    flat tuple of numerators and denominators, to their degree side: the
+    integer weight of each row and the denominator they are put over.
     """
 
-    __slots__ = ("degrees", "counts", "split", "lo", "hi", "low", "high", "hooks")
+    __slots__ = ("degrees", "counts", "split", "lo", "hi", "low", "high", "hooks", "phis")
 
     def __init__(self, n: int, groups: dict[int, dict[int, int]]) -> None:
         self.degrees = tuple(degrees.to_bytes(n, "little") for degrees in groups)
@@ -256,6 +261,7 @@ class _SizeIndex:
         self.low = tuple(block.to_bytes(k, "little") for block in low_ids)
         self.high = tuple(block.to_bytes(n - k, "little") for block in high_ids)
         self.hooks: dict[tuple[tuple[int, int], ...], _HookSide] = {}
+        self.phis: dict[tuple[int, ...], _DegreeSide] = {}
 
 
 class _HookSide:
@@ -290,6 +296,18 @@ class _HookSide:
                 if high is not None:
                     terms = map(mul, terms, map(high.__getitem__, index.hi[r]))
                 sums[r] = sum(terms)
+
+
+# The integer weight of each degree row, and the denominator of them all.
+_DegreeSide = tuple[list[int], int]
+
+
+def _degree_side(index: _SizeIndex, ratios: list[tuple[int, int]]) -> _DegreeSide:
+    """The degree side of the weighted sums of one size for the family
+    whose out-degree weights are ``ratios``."""
+    tables, denominator = _power_tables(len(ratios), ratios, 0)
+    # a row weighs 1 where every out-degree does (plane)
+    return _weigh(index.degrees, tables) or [1] * len(index.degrees), denominator
 
 
 def _weigh(keys: tuple[bytes, ...], tables: list[list[int]]) -> list[int] | None:
@@ -339,7 +357,7 @@ def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
 
 # Indexed tallies by size, filled by one pass for every size up to the one
 # asked for.  Only ``weighted_sum`` reads them, and it writes nothing to
-# an index but the hook sides in ``hooks``.
+# an index but the hook sides in ``hooks`` and the degree sides in ``phis``.
 _indexed: dict[int, _SizeIndex] = {}
 
 
@@ -363,9 +381,11 @@ def weighted_sum(
     degree row, filled the first time some family weighs the row
     nonzero, from that row's signatures alone; that is O(rows + blocks)
     integers per distinct table per size (at n = 13, 77 rows and 587
-    blocks), and nothing is kept per hook histogram or per signature.  A
-    later call at the same n and rho costs its degree weights and one
-    multiply per nonzero row.
+    blocks), and nothing is kept per hook histogram or per signature.
+    The degree side depends on n and the family alone, and is kept the
+    same way, keyed by phi's values at 0..n-1: O(rows) integers per
+    distinct family per size.  A later call at the same n, rho and
+    family costs one multiply per nonzero row.
     """
     _check_size(n)
     if rho.size < n:
@@ -381,11 +401,13 @@ def weighted_sum(
     hooks = index.hooks.get(key)
     if hooks is None:
         hooks = index.hooks[key] = _HookSide(index, key)
-    degree_tables, denominator = _power_tables(
-        n, [(w.numerator, w.denominator) for w in map(family.weight_of_degree, range(n))], 0
-    )
-    # a row weighs 1 where every out-degree does (plane)
-    weights = _weigh(index.degrees, degree_tables) or [1] * len(index.degrees)
+    ratios = [(w.numerator, w.denominator) for w in map(family.weight_of_degree, range(n))]
+    # one flat key: a kept entry adds one object for the collector, not n + 1
+    key = tuple(chain.from_iterable(ratios))
+    degree_side = index.phis.get(key)
+    if degree_side is None:
+        degree_side = index.phis[key] = _degree_side(index, ratios)
+    weights, denominator = degree_side
     # a polynomial phi weighs most degree histograms 0 (binary: 87% of the
     # signatures at n = 16), and their hook sums are neither made nor read
     sums = hooks.sums

@@ -736,3 +736,55 @@ class TestColdStart:
             "print(sorted({'argparse', 'json', 'csv', 'gettext', 'locale'} & set(sys.modules)))"
         )
         assert lines[-1] == loaded
+
+    # One command of each exit path: SystemExit inside main (--version, a
+    # usage error), exit 0, exit 3, and a large output that must still be
+    # flushed when the process ends.
+    ENTRY_COMMANDS = [
+        pytest.param(["--version"], 0, id="version"),
+        pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "x"], 2,
+                     id="usage-error"),
+        pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "3"], 0,
+                     id="series"),
+        pytest.param(["rho", "--phi", "1+t^2", "--from-model", "sg", "--order", "4"], 3,
+                     id="rho-undefined"),
+        pytest.param(["rho-forest", "--phi", "labelled", "--G", "1/(1-t)", "--order", "300"],
+                     0, id="rho-forest-300"),
+    ]
+
+    @staticmethod
+    def entry(call, argv, tmp_path):
+        """Exit code, stdout and stderr bytes of ``hooktrees.cli.<call>``
+        run in a fresh -S interpreter through pipes, and the collector's
+        freeze count that an atexit handler saw."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        counted = tmp_path / f"{call}.count"
+        code = (
+            "import atexit, gc, sys, hooktrees.cli\n"
+            f"atexit.register(lambda: open({str(counted)!r}, 'w')"
+            ".write(str(gc.get_freeze_count())))\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            + ("hooktrees.cli.run()\n" if call == "run"
+               else "sys.exit(hooktrees.cli.main())\n")
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        )
+        return result.returncode, result.stdout, result.stderr, int(counted.read_text())
+
+    @pytest.mark.parametrize("argv, status", ENTRY_COMMANDS)
+    def test_run_ends_frozen_with_the_output_of_main(self, argv, status, capsys, tmp_path):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        expected = (code, captured.out.encode(), captured.err.encode())
+        assert code == status
+        *ran, frozen = self.entry("run", argv, tmp_path)
+        assert tuple(ran) == expected
+        assert frozen > 0
+        *ran, frozen = self.entry("main", argv, tmp_path)
+        assert tuple(ran) == expected
+        assert frozen == 0

@@ -404,7 +404,8 @@ class TestWeightedSum:
 
 class TestHookSideReuse:
     """The hook side of a sum is kept per size and rho table and shared by
-    every family summed there."""
+    every family summed there; the degree side is kept per size and
+    family and shared by every rho table."""
 
     def test_fill_order_binary_plane_kary(self, monkeypatch):
         # binary weighs few degree rows, plane every row, kary:3 no new one
@@ -490,6 +491,38 @@ class TestHookSideReuse:
         # binary alone filled the new entry: the rows only plane weighs are empty
         (hooks,) = index.hooks.values()
         assert None in hooks.sums and None not in old.hooks[next(iter(old.hooks))].sums
+
+    def test_equal_families_share_one_degree_side(self, monkeypatch):
+        # binary spelled twice, across rho tables: one kept degree side per
+        # size, built once, and every sum exact
+        monkeypatch.setattr(tally, "_indexed", {})
+        built = []
+        degree_side = tally._degree_side
+        monkeypatch.setattr(tally, "_degree_side",
+                            lambda index, ratios: built.append(ratios) or degree_side(index, ratios))
+        rng = Random(21)
+        spellings = [families.from_spec("binary"), families.from_expression("(1+t)^2")]
+        for n in range(1, 14):
+            tables = [HookWeightFunction.from_spec(spec, n) for spec in ("1", "1/n", "n")]
+            tables += [HookWeightFunction(random_weights(rng, n)) for _ in range(2)]
+            for rho in tables:
+                for fam in spellings:
+                    assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (
+                        fam.name, n)
+            binary = [(1, 1), (2, 1), (1, 1), *[(0, 1)] * (n - 3)][:n]
+            assert list(tally._indexed[n].phis) == [sum(binary, ())]
+            assert built == [binary]
+            built.clear()
+        # another family at a kept size gets an entry of its own
+        plane, rho = families.from_spec("plane"), HookWeightFunction.from_spec("1/n", 13)
+        assert weighted_sum(13, plane, rho) == per_signature_sum(13, plane, rho)
+        assert built == [[(1, 1)] * 13] and len(tally._indexed[13].phis) == 2
+        # binary weighs a few rows nonzero; plane weighs every row 1
+        index = tally._indexed[13]
+        weights, denominator = index.phis[sum(binary, ())]
+        assert len(weights) == len(index.degrees) and denominator == 1
+        assert 0 < len(weights) - weights.count(0) < len(weights)
+        assert index.phis[(1, 1) * 13] == ([1] * len(index.degrees), 1)
 
     def test_weight_one_fields_are_skipped_exactly(self, monkeypatch):
         # rho = 1 on every hook, on the low hooks 1..n//3 only, on the high
