@@ -20,8 +20,9 @@ stored as subtraction from zero, so the node set stays closed under the
 grammar.  Implicit multiplication ("2t") is rejected; write ``2*t``.
 
 Note that a rational literal is a single token, read by the pattern that
-reads every rational flag value (``rational.RATIONAL_LITERAL``):
-``1/2^a`` parses as ``(1/2)^a``.  Write ``1/(2^a)`` for the other reading.
+reads every rational flag value (``rational.RATIONAL_LITERAL``), on both
+sides of ``^``: ``1/2^a`` is ``(1/2)^a``, ``t^2/2`` is ``t^(2/2)`` = ``t``,
+``(1+t)^3/2`` is ``(1+t)^(3/2)``; ``1/(2^a)``, ``t^2 / 2``, ``(t^2)/2`` divide.
 
 An expression may nest at most ``MAX_DEPTH`` levels: every operator,
 function call, unary minus and pair of parentheses is one level, so a

@@ -14,14 +14,14 @@ d_n involves only F_0..F_{n-1}, so one walk, :func:`_walk`, takes n from
 1 upwards: it evaluates ``phi(F)`` online (see
 :class:`gfparse.OnlineSeries`), hands d_n to a callback that returns F_n,
 and extends ``phi(F)`` by F_n.  Coefficient n costs O(n) operations per
-expression node, order N costs O(N^2).  Every solver is that walk with
-its own callback: F_n = d_n solves ``T = z*phi(T)`` for simply generated
-families (:func:`solve_simply_generated`), F_n = d_n / n solves
-``T' = phi(T)`` for increasing ones (:func:`solve_increasing`, plain
-coefficients ``T_n/n!``), F_n = rho(n) * d_n is :func:`series_from_rho`,
-and a known F_n gives :func:`rho_from_series` its denominators.
-:func:`rho_from_model` keeps both lists of one solving walk and takes
-rho(n) = F_n / d_n from them.
+expression node, order N costs O(N^2).  The walk has three rules:
+F_n = rho(n) * d_n is :func:`series_from_rho`, a known F_n gives
+:func:`rho_from_series` its denominators, and the forest rule below.  A
+model is a named hook weight: ``sg`` weighs every hook 1, which solves
+``T = z*phi(T)`` (:func:`solve_simply_generated`), and ``inc`` a hook of
+length h by 1/h, which solves ``T' = phi(T)`` (:func:`solve_increasing`,
+plain coefficients ``T_n/n!``).  Each is ``series_from_rho`` at its
+weight, which :func:`rho_from_model` returns where every d_n != 0.
 
 :func:`rho_from_forest` reads the relation from G = phi(F), so d_n =
 G_{n-1} is given and F is unknown.  It is the same walk: F_n is solved
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import truediv
 
 from . import gfparse
 from ._record import Record
@@ -147,25 +148,26 @@ def _walk(phi_of_F: gfparse.OnlineSeries, upto: int, next_coefficient):
     return TruncatedSeries(F), phi_of_F.coefficients
 
 
-def _quotients(F, d: list, of: str) -> HookWeightFunction:
-    """``rho(n) = F[n] / d[n-1]``, where ``d[n-1] = [z^{n-1}] of``."""
-    values = []
-    for n, den in enumerate(d, 1):
-        if den == 0:
-            raise DenominatorVanishes(
-                n, f"denominator coefficient vanishes ([z^{n - 1}] {of} = 0)"
-            )
-        values.append(F[n] / den)
-    return HookWeightFunction(values)
+def _denominators(d: list, of: str) -> list:
+    """``d``, where ``d[n-1] = [z^{n-1}] of``; raises at its first 0."""
+    if 0 in d:
+        n = d.index(0) + 1
+        raise DenominatorVanishes(
+            n, f"denominator coefficient vanishes ([z^{n - 1}] {of} = 0)"
+        )
+    return d
 
 
-_MODELS = {"sg": lambda n, d: d, "inc": lambda n, d: d / n}
+_MODELS = {
+    "sg": lambda order: HookWeightFunction([Fraction(1)] * order),
+    "inc": lambda order: HookWeightFunction(map(Fraction, [1] * order, range(1, order + 1))),
+}
 
 
 def solve_simply_generated(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
     """The unique series T with ``T(0)=0`` and ``T = z*phi(T)``: the walk
-    with ``T_n = [z^{n-1}] phi(T)``."""
-    return _walk(family.phi_at(), order, _MODELS["sg"])[0]
+    with ``T_n = [z^{n-1}] phi(T)``: :func:`series_from_rho` at rho = 1."""
+    return series_from_rho(_MODELS["sg"](order), family, order)
 
 
 def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
@@ -173,9 +175,9 @@ def solve_increasing(family: DegreeWeightFamily, order: int) -> TruncatedSeries:
 
     Returned as plain coefficients ``[z^n]T = T_n/n!``; use
     :func:`egf_counts` for the counts ``T_n`` themselves.  The walk with
-    ``n*[z^n]T = [z^{n-1}] phi(T)``.
+    ``n*[z^n]T = [z^{n-1}] phi(T)``: :func:`series_from_rho` at rho(h) = 1/h.
     """
-    return _walk(family.phi_at(), order, _MODELS["inc"])[0]
+    return series_from_rho(_MODELS["inc"](order), family, order)
 
 
 def egf_counts(series: TruncatedSeries) -> list[Fraction]:
@@ -196,15 +198,16 @@ def rho_from_series(
     """
     _check_tree_series(F, upto)
     _, d = _walk(family.phi_at(), upto, lambda n, d_n: F.coeff(n))
-    return _quotients(F.coefficients, d, "phi(F)")
+    return HookWeightFunction(map(truediv, F.coefficients[1:], _denominators(d, "phi(F)")))
 
 
 def rho_from_model(family: DegreeWeightFamily, order: int, model: str) -> HookWeightFunction:
-    """:func:`rho_from_series` of the series that ``model`` solves: ``"sg"``
-    as :func:`solve_simply_generated`, ``"inc"`` as :func:`solve_increasing`.
-    The quotients take their denominators from the walk that solves it."""
-    F, d = _walk(family.phi_at(), order, _MODELS[model])
-    return _quotients(F.coefficients, d, "phi(F)")
+    """:func:`rho_from_series` of the series that ``model`` solves (``"sg"``:
+    :func:`solve_simply_generated`, ``"inc"``: :func:`solve_increasing`), so
+    the model's own weight; raises where d_n, so F_n = rho(n) * d_n, is 0."""
+    rho = _MODELS[model](order)
+    _denominators(series_from_rho(rho, family, order).coefficients[1:], "phi(F)")
+    return rho
 
 
 def series_from_rho(
@@ -216,7 +219,8 @@ def series_from_rho(
         raise RhoRangeExceeded(
             f"rho covers 1..{rho.size} but order {order} was requested"
         )
-    return _walk(family.phi_at(), order, lambda n, d_n: rho(n) * d_n)[0]
+    w = rho.values  # a weight of 1 skips its product, so sg costs what a bare walk costs
+    return _walk(family.phi_at(), order, lambda n, d: d if w[n - 1] == 1 else w[n - 1] * d)[0]
 
 
 def rho_from_forest(
@@ -249,7 +253,7 @@ def rho_from_forest(
         )
     phi_of_F = family.phi_at()
     F, d = _walk(phi_of_F, upto, lambda n, d_n: (G.coeff(n) - phi_of_F.peek()) / phi1)
-    return _quotients(F.coefficients, d, "G")
+    return HookWeightFunction(map(truediv, F.coefficients[1:], _denominators(d, "G")))
 
 
 def _check_tree_series(F: TruncatedSeries, upto: int) -> None:

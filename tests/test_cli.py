@@ -87,20 +87,57 @@ class TestSeriesCommand:
         assert "order" in err
 
 
+BUILTIN_SPECS = ["binary", "kary:3", "plane", "labelled", "yang:1/2,3", "polyalpha:2"]
+
+
 class TestRhoCommand:
     def test_from_model_inc(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rho", "--phi", "binary", "--from-model", "inc", "--order", "6"
-        )
-        assert code == 0
-        assert out == "1 1/2 1/3 1/4 1/5 1/6\n"
+        # the inc model weighs a hook of length h by 1/h, whatever the family
+        expected = " ".join(["1"] + [f"1/{n}" for n in range(2, 41)]) + "\n"
+        for phi in BUILTIN_SPECS:
+            got = run_cli(capsys, "rho", "--phi", phi, "--from-model", "inc", "--order", "40")
+            assert got == (0, expected, ""), phi
 
     def test_from_model_sg(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rho", "--phi", "plane", "--from-model", "sg", "--order", "5"
+        # the sg model weighs every hook 1, whatever the family
+        expected = " ".join(["1"] * 40) + "\n"
+        for phi in BUILTIN_SPECS:
+            got = run_cli(capsys, "rho", "--phi", phi, "--from-model", "sg", "--order", "40")
+            assert got == (0, expected, ""), phi
+
+    @pytest.mark.parametrize(
+        "phi,model",
+        [
+            # d_3 = phi_1 F_2 + phi_2 F_1^2 = 1 - 1 for sg (F_1 = F_2 = 1)
+            ("1+t-t^2+t^3", "sg"),
+            # and 1/2 - 1/2 for inc (F_1 = 1, F_2 = 1/2)
+            ("1+t-(t^2)/2+t^3", "inc"),
+        ],
+    )
+    def test_from_model_vanishing_at_n_3_exits_3(self, capsys, phi, model):
+        assert run_cli(capsys, "rho", "--phi", phi, "--from-model", model, "--order", "5") == (
+            3,
+            "",
+            f"warning: {phi}: negative weights at 1 of degrees 0..5: 2 "
+            "(identities remain formal)\n"
+            "error: rho(3) is undefined: denominator coefficient vanishes "
+            "([z^2] phi(F) = 0)\n",
         )
-        assert code == 0
-        assert out == "1 1 1 1 1\n"
+
+    @pytest.mark.parametrize("model", ["sg", "inc"])
+    def test_from_model_solves_through_series_from_rho_once(self, capsys, monkeypatch, model):
+        calls = []
+        real = hookcalc.series_from_rho
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hookcalc, "series_from_rho", counted)
+        code, _, _ = run_cli(
+            capsys, "rho", "--from-model", model, "--phi", "binary", "--order", "6"
+        )
+        assert (code, len(calls)) == (0, 1)
 
     def test_negative_weight_warning_is_one_short_line(self, capsys):
         code, _, err = run_cli(

@@ -83,6 +83,17 @@ class TestGrammar:
         # spaced form is a division instead; both evaluate identically
         assert parse("1 / 2") == Div((0, 0), lit(1), lit(2))
 
+    def test_a_literal_after_a_power_takes_the_division_with_it(self):
+        # t^2/2 is t^(2/2) = t, and (1+t)^3/2 is (1+t)^(3/2)
+        assert parse("t^2/2") == Pow((0, 0), Variable((0, 0)), lit(1))
+        assert parse("(1+t)^3/2") == parse("(1+t)^(3/2)")
+        assert evaluate(parse("1+t-t^2/2+t^3"), {}, 4) == TruncatedSeries([1, 0, 0, 1, 0])
+        # a space or parentheses divide the power instead
+        halved = Div((0, 0), parse("t^2"), lit(2))
+        assert parse("t^2 / 2") == parse("(t^2)/2") == halved
+        got = evaluate(parse("1+t-(t^2)/2+t^3"), {}, 4)
+        assert got == TruncatedSeries([1, 1, Q(-1, 2), 1, 0])
+
     def test_exp_log_functions(self):
         assert parse("exp(t)") == Exp((0, 0), Variable((0, 0)))
         assert parse("log(1+t)") == parse("log((1+t))")
