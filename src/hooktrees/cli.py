@@ -443,8 +443,8 @@ def _cmd_labellings(args) -> int:
         if tree.size <= treeoracle.BRUTE_FORCE_LIMIT
         else None
     )
-    results = [by_hook, by_recursion] + ([by_brute] if by_brute is not None else [])
-    agree = by_hook.denominator == 1 and all(r == results[0] for r in results)
+    # a Fraction equals an int only when its denominator is 1
+    agree = by_hook == by_recursion and by_brute in (None, by_recursion)
 
     hook_str = rational_to_string(by_hook)
     recursive_str = rational_to_string(by_recursion)

@@ -232,7 +232,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0  # open parentheses, calls, unary minuses and exponents

@@ -2,17 +2,17 @@
 
 One ordered (plane) rooted tree at a time: read from and written as a
 parenthesis word, its hook lengths, and three independent counters of
-its increasing labellings, which ``labellings`` holds against each
-other.  Like the tally in ``tally``, nothing here shares machinery with
-the generating-function calculus.  The literal oracle, a stream of
-every ordered tree of a size with the per-tree weights, lives in the
-tests (``tests/literal_oracle.py``), where it checks the tally.
+its increasing labellings (hook formula, root recursion, brute force
+over ready subtrees), which ``labellings`` holds against each other.
+Like the tally, nothing here shares machinery with the series half.
+The literal oracle, every ordered tree of a size with its weights,
+lives in the tests (``tests/literal_oracle.py``), where it checks the tally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from ..errors import SizeLimitExceeded, UnbalancedParens
 
@@ -76,34 +76,29 @@ def labellings_hook(tree: OrderedTree) -> Fraction:
     Integrality is a consequence, not an assumption; callers who want the
     integer should check ``denominator == 1``.
     """
-    product = 1
-    for h in hook_lengths(tree):
-        product *= h
-    return Fraction(factorial(tree.size), product)
+    return Fraction(factorial(tree.size), prod(hook_lengths(tree)))
 
 
 def labellings_recursive(tree: OrderedTree) -> int:
     """Count increasing labellings by the root decomposition.
 
     The root takes label 1; the remaining ``n-1`` labels are split among
-    the subtrees (multinomial), each subtree labelled independently.
-    The division is exact: the numerator is a multinomial coefficient
-    times integers.
+    the subtrees, each labelled independently.  The subtrees' factorials
+    are multiplied first, so ``(n-1)!`` meets one exact division.
     """
-    numerator = factorial(tree.size - 1)
-    denominator = 1
+    count = denominator = 1
     for child in tree.children:
-        numerator *= labellings_recursive(child)
+        count *= labellings_recursive(child)
         denominator *= factorial(child.size)
-    return numerator // denominator
+    return factorial(tree.size - 1) // denominator * count
 
 
 def labellings_bruteforce(tree: OrderedTree) -> int:
     """Build every increasing labelling, label by label, and count them.
 
-    Labels go on in increasing order: label k may take any unlabelled
-    vertex whose parent already carries a label.  Each complete labelling
-    is reached once and counted once.  The literal definition and the
+    The next label goes on the root of any ready subtree, one whose parent
+    is labelled, and that subtree's children become ready in its place.
+    Each labelling is reached once.  The literal definition and the
     slowest oracle; guarded at ``BRUTE_FORCE_LIMIT`` vertices.
     """
     n = tree.size
@@ -111,34 +106,15 @@ def labellings_bruteforce(tree: OrderedTree) -> int:
         raise SizeLimitExceeded(
             f"brute-force labelling is limited to {BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, parent in enumerate(_preorder_parents(tree)[1:], start=1):
-        children[parent].append(v)
 
-    def count(ready: list[int]) -> int:
-        # ``ready`` holds the unlabelled vertices whose parents are labelled.
+    def count(ready: tuple[OrderedTree, ...]) -> int:
         if not ready:
             return 1
         return sum(
-            count(ready[:i] + ready[i + 1:] + children[v]) for i, v in enumerate(ready)
+            count(ready[:i] + ready[i + 1:] + v.children) for i, v in enumerate(ready)
         )
 
-    return count([0])
-
-
-def _preorder_parents(tree: OrderedTree) -> list[int]:
-    """Parent index per vertex in preorder; the root gets -1."""
-    parents = [-1]
-
-    def walk(node: OrderedTree, index: int) -> int:
-        cursor = index
-        for child in node.children:
-            parents.append(index)
-            cursor = walk(child, cursor + 1)
-        return cursor
-
-    walk(tree, 0)
-    return parents
+    return count((tree,))
 
 
 # --- text format -------------------------------------------------------------------

@@ -173,17 +173,17 @@ def _double_factorial(k):
 
 def test_c7_labelling_oracles_agree():
     seen = 0
-    for n in range(1, 7):
+    for n in range(1, 9):
         for tree in enumerate_trees(n):
             by_hook = labellings_hook(tree)
             assert by_hook.denominator == 1
             assert by_hook == labellings_recursive(tree) == labellings_bruteforce(tree)
             seen += 1
-    assert seen == 65
+    assert seen == 626
     for n in range(7, 11):
         for tree in enumerate_trees(n):
             assert labellings_hook(tree) == labellings_recursive(tree)
-    report("7 labelling oracles: 3-way on 65 trees (n<=6), 2-way to n=10")
+    report("7 labelling oracles: 3-way on 626 trees (n<=8), 2-way to n=10")
 
 
 def test_c8_series_engine_roundtrips():
