@@ -1,21 +1,21 @@
 """Command-line interface for batch computations.
 
 Subcommands: ``series`` (solve the family equations), ``rho`` and
-``rho-forest`` (extract the hook weight table), ``verify`` (certify the
-tree identity by exhaustive enumeration) and ``labellings`` (count the
-increasing labellings of one tree three ways).
+``rho-forest`` (one handler: the hook weight table from F or G = phi(F)),
+``verify`` (certify the tree identity by exhaustive enumeration) and
+``labellings`` (count the increasing labellings of one tree three ways).
 
 Exit codes: 0 success/verified, 1 verified-false, 2 input error,
 3 the weight function is undefined (a vanishing denominator), 4 an
 internal error (an exception that no input should cause: a bug, or the
 machine out of memory), reported as one ``error: internal error:`` line
-without a traceback.  Input past a resource bound is an input error:
-``--order`` above ``MAX_ORDER``, ``--max-n`` above ``MAX_VERIFY_N``, an
-expression nested deeper than ``gfparse.MAX_DEPTH``, a power too large
-and a tree nested deeper than ``treeoracle.MAX_TREE_DEPTH``.  Rationals
-always print as ``p`` or ``p/q``, never as decimals, and integers print
-exactly at any length; identical invocations produce byte-identical
-output.
+without a traceback, 141 stdout closed by its reader (nothing on stderr).
+Input past a resource bound is an input error: ``--order`` above
+``MAX_ORDER``, ``--max-n`` above ``MAX_VERIFY_N``, an expression nested
+deeper than ``gfparse.MAX_DEPTH``, a power too large and a tree nested
+deeper than ``treeoracle.MAX_TREE_DEPTH``.  Rationals always print as
+``p`` or ``p/q``, never as decimals, and integers print exactly at any
+length; identical invocations produce byte-identical output.
 
 The flags of every command are one table, ``_COMMANDS``.  A value follows
 its flag (``--order 3``) or is joined to it (``--order=3``), and a long
@@ -45,6 +45,7 @@ EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
 EXIT_UNDEFINED = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # the status of a filter that SIGPIPE killed
 
 MAX_VERIFY_N = 12
 # The slowest builtin at this order, sg labelled (series or rho
@@ -110,10 +111,11 @@ def _usage_error(message: str):
 
 
 def _print_and_exit(text: str):
-    """Print ``--help`` or ``--version`` and exit 0.  One write: with
-    unbuffered stdout, ``print`` writes the newline apart, and a reader
-    that has closed the pipe (``| head -1``) turns it into an error."""
+    """Print ``--help`` or ``--version`` and exit 0.  One write, so that
+    ``| head -1`` reads the whole line before it closes the pipe, and
+    flushed, so that :func:`run` sees a pipe that was closed earlier."""
     sys.stdout.write(text + "\n")
+    sys.stdout.flush()
     raise SystemExit(EXIT_OK)
 
 
@@ -366,49 +368,34 @@ def _cmd_series(args) -> int:
     family, _ = _load_family(args)
     if args.model == "sg":
         result = hookcalc.solve_simply_generated(family, args.order)
-        counts = None
     else:
         result = hookcalc.solve_increasing(family, args.order)
-        counts = hookcalc.egf_counts(result)
     strings = result.to_strings()
 
     payload = {"series": strings}
     plain = ["coefficients " + " ".join(strings)]
-    header = ["n", "coefficient"]
-    rows = [[str(n), s] for n, s in enumerate(strings)]
-    if counts is not None:
-        count_strings = [rational_to_string(c) for c in counts]
-        payload["counts"] = [None] + count_strings[1:]
-        plain.append("counts _ " + " ".join(count_strings[1:]))
-        header.append("count")
-        rows[0].append("")
-        for n in range(1, len(rows)):
-            rows[n].append(count_strings[n])
-    _emit_table(args, payload, [header] + rows, plain)
+    rows = [["n", "coefficient"]] + [[str(n), s] for n, s in enumerate(strings)]
+    if args.model == "inc":
+        count_strings = [rational_to_string(c) for c in hookcalc.egf_counts(result)[1:]]
+        payload["counts"] = [None] + count_strings
+        plain.append("counts _ " + " ".join(count_strings))
+        rows = [[*row, count] for row, count in zip(rows, ["count", "", *count_strings])]
+    _emit_table(args, payload, rows, plain)
     return EXIT_OK
 
 
 def _cmd_rho(args) -> int:
-    family, F = _load_family(args)
-    if args.from_model is None:
-        rho = hookcalc.rho_from_series(F, family, args.order)
+    family, series = _load_family(args)
+    if args.command == "rho-forest":
+        rho = hookcalc.rho_from_forest(series, family, args.order)
+    elif series is not None:
+        rho = hookcalc.rho_from_series(series, family, args.order)
     else:
         rho = hookcalc.rho_from_model(family, args.order, args.from_model)
-    _emit_rho(args, rho)
-    return EXIT_OK
-
-
-def _cmd_rho_forest(args) -> int:
-    family, G = _load_family(args)
-    rho = hookcalc.rho_from_forest(G, family, args.order)
-    _emit_rho(args, rho)
-    return EXIT_OK
-
-
-def _emit_rho(args, rho: hookcalc.HookWeightFunction) -> None:
     strings = rho.to_strings()
     rows = [["n", "rho"]] + [[str(n + 1), s] for n, s in enumerate(strings)]
     _emit_table(args, {"rho": strings}, rows, [" ".join(strings)])
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -418,19 +405,18 @@ def _cmd_verify(args) -> int:
     rhs_series = hookcalc.series_from_rho(rho, family, args.max_n)
     # the largest size first: its one tally pass serves every smaller size
     lhs = {n: treeoracle.weighted_sum(n, family, rho) for n in range(args.max_n, 0, -1)}
-    all_equal = True
     objects, rows, plain = [], [["n", "lhs", "rhs", "equal"]], []
     for n in range(1, args.max_n + 1):
         rhs = rhs_series.coeff(n)
         equal = lhs[n] == rhs
-        all_equal &= equal
-        left, right = rational_to_string(lhs[n]), rational_to_string(rhs)
+        left = rational_to_string(lhs[n])
+        right = left if equal else rational_to_string(rhs)
         verdict = "true" if equal else "false"
         objects.append({"n": n, "lhs": left, "rhs": right, "equal": equal})
         rows.append([str(n), left, right, verdict])
         plain.append(f"n={n} lhs={left} rhs={right} equal={verdict}")
     _emit_table(args, objects, rows, plain)
-    return EXIT_OK if all_equal else EXIT_FALSIFIED
+    return EXIT_OK if all(item["equal"] for item in objects) else EXIT_FALSIFIED
 
 
 def _cmd_labellings(args) -> int:
@@ -438,22 +424,19 @@ def _cmd_labellings(args) -> int:
     hooks = treeoracle.hook_lengths(tree)
     by_hook = treeoracle.labellings_hook(tree)
     by_recursion = treeoracle.labellings_recursive(tree)
-    by_brute = (
-        treeoracle.labellings_bruteforce(tree)
-        if tree.size <= treeoracle.BRUTE_FORCE_LIMIT
-        else None
-    )
-    # a Fraction equals an int only when its denominator is 1
-    agree = by_hook == by_recursion and by_brute in (None, by_recursion)
-
-    hook_str = rational_to_string(by_hook)
-    recursive_str = rational_to_string(by_recursion)
-    brute_str = rational_to_string(by_brute) if by_brute is not None else ""
+    by_brute = None
+    if tree.size <= treeoracle.BRUTE_FORCE_LIMIT:
+        by_brute = treeoracle.labellings_bruteforce(tree)
+    # each distinct count converted to decimal once; a Fraction equals an
+    # int only when its denominator is 1, so the counters agree on one key
+    strings = {count: rational_to_string(count) for count in {by_hook, by_recursion, by_brute}
+               if count is not None}
+    agree = len(strings) == 1
     payload = {
         "tree": treeoracle.format_tree(tree),
         "n": tree.size,
         "hooks": hooks,
-        "hook_formula": hook_str,
+        "hook_formula": strings[by_hook],
         "recursive": by_recursion,
         "bruteforce": by_brute,
         "agree": agree,
@@ -462,9 +445,9 @@ def _cmd_labellings(args) -> int:
         ("tree", payload["tree"]),
         ("n", str(tree.size)),
         ("hooks", " ".join(str(h) for h in hooks)),
-        ("hook-formula", hook_str),
-        ("recursive", recursive_str),
-        ("bruteforce", brute_str),
+        ("hook-formula", strings[by_hook]),
+        ("recursive", strings[by_recursion]),
+        ("bruteforce", strings.get(by_brute, "")),
         ("agree", "true" if agree else "false"),
     ]
     # only bruteforce can be empty: plain says so, csv leaves the cell blank
@@ -476,7 +459,7 @@ def _cmd_labellings(args) -> int:
 _HANDLERS = {
     "series": _cmd_series,
     "rho": _cmd_rho,
-    "rho-forest": _cmd_rho_forest,
+    "rho-forest": _cmd_rho,
     "verify": _cmd_verify,
     "labellings": _cmd_labellings,
 }
@@ -484,16 +467,16 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit code.  ``--help``,
-    ``--version`` and a usage error raise ``SystemExit`` instead."""
+    ``--version`` and a usage error raise ``SystemExit`` instead, and a
+    closed stdout raises ``BrokenPipeError`` for :func:`run` to report."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
-    except DenominatorVanishes as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNDEFINED
     except (HookTreesError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_UNDEFINED if isinstance(err, DenominatorVanishes) else EXIT_INPUT
+    except BrokenPipeError:
+        raise
     except Exception as err:
         print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -507,14 +490,20 @@ def run() -> None:
     interpreter's finalization does not collect over every object that
     start-up and the command made (about 7 ms of a 70 ms command on one
     core of a shared 2-vCPU Xeon); stdio is still flushed and atexit
-    handlers still run.  ``--help``,
-    ``--version`` and a usage error raise ``SystemExit`` inside
-    :func:`main`, and the ``finally`` covers them too.  :func:`main`
-    itself does not freeze: tests and library callers run it many times
-    in one process and need a working collector.
+    handlers still run.  ``--help``, ``--version`` and a usage error
+    raise ``SystemExit`` inside :func:`main`, and the ``finally`` covers
+    them too.  A closed stdout (``| head -1``) exits ``EXIT_PIPE`` with
+    nothing on stderr.  :func:`main` itself does not freeze: tests and
+    library callers run it many times in one process and need a working
+    collector.
     """
     try:
         code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os  # not loaded at start-up; only this branch needs it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # for the flush at exit
+        code = EXIT_PIPE
     finally:
         gc.freeze()
     sys.exit(code)

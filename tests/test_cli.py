@@ -291,7 +291,16 @@ class TestVerifyCommand:
         )
         assert code == 0
 
-    def test_perturbed_rhs_is_falsified(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("output, expected", [
+        ("plain", "n=1 lhs=1 rhs=1 equal=true\nn=2 lhs=2 rhs=3 equal=false\n"
+                  "n=3 lhs=5 rhs=5 equal=true\n"),
+        ("csv", "n,lhs,rhs,equal\n1,1,1,true\n2,2,3,false\n3,5,5,true\n"),
+        ("json", '{"n": 1, "lhs": "1", "rhs": "1", "equal": true}\n'
+                 '{"n": 2, "lhs": "2", "rhs": "3", "equal": false}\n'
+                 '{"n": 3, "lhs": "5", "rhs": "5", "equal": true}\n'),
+    ])
+    def test_perturbed_rhs_is_falsified(self, capsys, monkeypatch, output, expected):
+        # a line with unequal sides prints each side's own value
         real = hookcalc.series_from_rho
 
         def perturbed(rho, family, order):
@@ -302,10 +311,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(hookcalc, "series_from_rho", perturbed)
         code, out, _ = run_cli(
-            capsys, "verify", "--phi", "binary", "--rho", "1", "--max-n", "3"
+            capsys, "verify", "--phi", "binary", "--rho", "1", "--max-n", "3",
+            "--output", output,
         )
-        assert code == 1
-        assert "equal=false" in out
+        assert (code, out) == (1, expected)
 
     def test_one_tally_pass(self, capsys, monkeypatch):
         from hooktrees.treeoracle import tally
@@ -436,6 +445,54 @@ class TestLabellingsCommand:
         assert code == 0
         assert "bruteforce skipped" in out
         assert "agree true" in out
+
+    @pytest.mark.parametrize("output", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("counter, field", [
+        ("labellings_hook", "hook-formula"),
+        ("labellings_recursive", "recursive"),
+        ("labellings_bruteforce", "bruteforce"),
+    ])
+    def test_disagreement_prints_each_count(self, capsys, monkeypatch, counter, field, output):
+        # one counter is off by one: it prints its own value, the others 3
+        real = getattr(treeoracle, counter)
+        monkeypatch.setattr(treeoracle, counter, lambda tree: real(tree) + 1)
+        code, out, _ = run_cli(capsys, "labellings", "--tree", "((())())", "--output", output)
+        counts = {name: 4 if name == field else 3
+                  for name in ("hook-formula", "recursive", "bruteforce")}
+        fields = [("tree", "((())())"), ("n", "4"), ("hooks", "4 2 1 1"),
+                  *((name, str(count)) for name, count in counts.items()), ("agree", "false")]
+        if output == "plain":
+            expected = "".join(f"{name} {value}\n" for name, value in fields)
+        elif output == "csv":
+            expected = "".join(f"{name},{value}\n" for name, value in [("field", "value"), *fields])
+        else:
+            expected = json.dumps({
+                "tree": "((())())", "n": 4, "hooks": [4, 2, 1, 1],
+                "hook_formula": str(counts["hook-formula"]),
+                "recursive": counts["recursive"], "bruteforce": counts["bruteforce"],
+                "agree": False,
+            }) + "\n"
+        assert (code, out) == (1, expected)
+
+    @pytest.mark.parametrize("argv, conversions", [
+        (["labellings", "--tree", "(" + "()" * 8 + ")"], 1),
+        (["labellings", "--tree", "((())())"], 1),
+        # the json object still writes the ints n, recursive and bruteforce
+        (["labellings", "--tree", "((())())", "--output", "json"], 4),
+        (["verify", "--phi", "binary", "--rho", "1", "--max-n", "6"], 6),
+    ])
+    def test_each_distinct_count_is_converted_once(self, capsys, monkeypatch, argv, conversions):
+        calls = []
+        convert = cli.rational_to_string
+
+        def counted(value):
+            calls.append(value)
+            return convert(value)
+
+        monkeypatch.setattr(cli, "rational_to_string", counted)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == conversions
 
 
 class TestContract:
@@ -788,6 +845,28 @@ class TestColdStart:
         pytest.param(["rho-forest", "--phi", "labelled", "--G", "1/(1-t)", "--order", "300"],
                      0, id="rho-forest-300"),
     ]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["series", "--model", "sg", "--phi", "labelled", "--order", "300"],
+                     id="series-300"),
+        pytest.param(["labellings", "--tree", "(" + "()" * 5000 + ")"], id="star-5000"),
+        pytest.param(["--version"], id="version"),
+    ])
+    def test_closed_stdout_exits_141_silently(self, argv):
+        # stdout is buffered, as it is unless PYTHONUNBUFFERED is set: a
+        # short output breaks the pipe at a flush, a long one while the
+        # command prints; --version exits through SystemExit
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            [sys.executable, "-S", "-c", "import hooktrees.cli; hooktrees.cli.run()", *argv],
+            env=dict(env, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), err) == (141, b"")
 
     @staticmethod
     def entry(call, argv, tmp_path):

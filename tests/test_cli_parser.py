@@ -167,7 +167,7 @@ def test_help_and_version_print_in_one_write(monkeypatch, argv):
     # a reader that closes the pipe after one line (| head -1) must not
     # meet a second write
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 0 and len(writes) == 1 and writes[0].endswith("\n")
