@@ -5,8 +5,9 @@ Subcommands: ``series`` (solve the family equations), ``rho`` and
 ``verify`` (certify the tree identity by exhaustive enumeration) and
 ``labellings`` (count the increasing labellings of one tree three ways).
 
-Exit codes: 0 success/verified, 1 verified-false, 2 input error,
-3 the weight function is undefined (a vanishing denominator), 4 an
+Exit codes: 0 success/verified, 1 verified-false, 2 input error (any
+``ValueError``, which includes every ``errors.HookTreesError``), 3 the
+weight function is undefined (``errors.DenominatorVanishes``), 4 an
 internal error (an exception that no input should cause: a bug, or the
 machine out of memory), reported as one ``error: internal error:`` line
 without a traceback, 141 stdout closed by its reader (nothing on stderr).
@@ -37,7 +38,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, families, gfparse, hookcalc, treeoracle
-from .errors import DenominatorVanishes, DomainError, HookTreesError
+from .errors import DenominatorVanishes, HookTreesError
 from .rational import rational_from_string, rational_to_string
 
 EXIT_OK = 0
@@ -268,7 +269,7 @@ def _read_flag(flag: str, read, *args):
     with ``FLAG: ``."""
     try:
         return read(*args)
-    except (HookTreesError, ValueError) as err:
+    except ValueError as err:
         err.args = (f"{flag}: {err}",)
         raise
 
@@ -279,7 +280,8 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     validate the family up to the largest size the command needs, then
     parse ``--F``, ``--G`` or an expression in ``--rho``, refuse a
     ``--param`` that no expression reads, and evaluate ``--F`` or ``--G``
-    to a series or ``--rho`` to its table (None for ``series``)."""
+    to a series that the solver can read or ``--rho`` to its table (None
+    for ``series`` and ``rho --from-model``)."""
     binding = _read_flag("--param", _parse_params, args.param)
     if args.command == "verify":
         size = args.max_n
@@ -304,7 +306,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     for warning in report.warnings:
         print(f"warning: {family.name}: {warning}", file=sys.stderr)
     if not report.ok and not args.allow_degenerate:
-        raise DomainError(
+        raise HookTreesError(
             f"{family.name}: {'; '.join(report.violations)} "
             "(use --allow-degenerate to run anyway)"
         )
@@ -326,7 +328,12 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
         )
     if expression is None:
         return family, None
-    return family, _read_flag(series_flag, gfparse.evaluate, expression, binding, args.order)
+    series = _read_flag(series_flag, gfparse.evaluate, expression, binding, args.order)
+    if args.command == "rho-forest":
+        _read_flag(series_flag, hookcalc.check_forest_series, series, family, args.order)
+    else:
+        _read_flag(series_flag, hookcalc.check_tree_series, series, args.order)
+    return family, series
 
 
 def _json_object(payload: dict) -> str:
@@ -472,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
-    except (HookTreesError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNDEFINED if isinstance(err, DenominatorVanishes) else EXIT_INPUT
     except BrokenPipeError:

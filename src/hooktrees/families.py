@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import gfparse
 from ._record import Record
-from .errors import DomainError
+from .errors import HookTreesError
 from .rational import rational_from_string, rational_to_string
 from .series import TruncatedSeries
 
@@ -151,23 +151,21 @@ def from_spec(text: str) -> DegreeWeightFamily:
     name, _, argtext = text.partition(":")
     name = name.strip()
     if name not in _BUILTINS:
-        raise DomainError(f"unknown builtin family {name!r}")
+        raise HookTreesError(f"unknown builtin family {name!r}")
     expression, params = _BUILTINS[name]
     args = [a.strip() for a in argtext.split(",")] if argtext else []
     if len(args) != len(params):
-        raise DomainError(
+        raise HookTreesError(
             f"family spec {text!r} takes {len(params)} parameter(s), got {len(args)}"
         )
     values = [rational_from_string(a) for a in args]
     if name == "kary":
         if values[0].denominator != 1:
-            raise DomainError(f"kary arity must be an integer, got {args[0]}")
+            raise HookTreesError(f"kary arity must be an integer, got {args[0]}")
         if values[0] < 2:
-            raise DomainError(f"kary requires k >= 2, got {rational_to_string(values[0])}")
+            raise HookTreesError(f"kary requires k >= 2, got {rational_to_string(values[0])}")
     if name == "polyalpha" and values[0] <= 0:
-        raise DomainError(
-            f"polyalpha requires alpha > 0, got {rational_to_string(values[0])}"
-        )
+        raise HookTreesError(f"polyalpha requires alpha > 0, got {rational_to_string(values[0])}")
     canonical = ",".join(rational_to_string(v) for v in values)
     return from_expression(
         expression, dict(zip(params, values)), name=f"{name}:{canonical}" if args else name

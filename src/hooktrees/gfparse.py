@@ -55,16 +55,7 @@ from math import lcm
 from operator import add, attrgetter, floordiv, mul, sub, truediv
 
 from ._record import Record
-from .errors import (
-    ConstantTermNotOne,
-    NonConstantExponent,
-    NonzeroConstantTerm,
-    ParseError,
-    UnboundParameter,
-    UndefinedConstant,
-    UnknownFunction,
-    ZeroConstantTerm,
-)
+from .errors import ExpressionError, ParseError, UndefinedConstant
 from .rational import (
     RATIONAL_LITERAL,
     Rational,
@@ -335,7 +326,9 @@ class _Parser:
                 closing = self.expect(")")
                 return self._checked(_FUNCTIONS[tok.text]((tok.start, closing.end), arg), tok)
             if self.peek().kind == "(":
-                raise UnknownFunction(tok.text, tok.start)
+                raise ParseError(
+                    f"unknown function {tok.text!r}", tok.start, frozenset(_FUNCTIONS)
+                )
             if tok.text == "t":
                 return Variable((tok.start, tok.end))
             return Parameter((tok.start, tok.end), tok.text)
@@ -362,7 +355,7 @@ def parameters(expr: GfExpr) -> set[str]:
 
 def _bound(node: Parameter, binding: ParamBinding) -> Fraction:
     if node.name not in binding:
-        raise UnboundParameter(f"parameter {node.name!r} is not bound", node.span)
+        raise ExpressionError(f"parameter {node.name!r} is not bound", node.span)
     return Fraction(binding[node.name])
 
 
@@ -381,15 +374,13 @@ def _power(base: Fraction, e: Fraction, span: tuple[int, int]) -> Fraction | Non
         raise UndefinedConstant("zero raised to a negative power", span)
     bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
     if abs(k) * bits > MAX_POWER_BITS:
-        raise NonConstantExponent(
-            f"power too large: more than {MAX_POWER_BITS} bits", span
-        )
+        raise ExpressionError(f"power too large: more than {MAX_POWER_BITS} bits", span)
     return base ** k
 
 
 def _check_exponent(e: Fraction, span: tuple[int, int]) -> None:
     if max(e.numerator.bit_length(), e.denominator.bit_length()) > MAX_EXPONENT_BITS:
-        raise NonConstantExponent(
+        raise ExpressionError(
             f"exponent of a series too large: more than {MAX_EXPONENT_BITS} bits", span
         )
 
@@ -403,7 +394,7 @@ def const_eval(node: GfExpr, binding: ParamBinding, where: str = "in an exponent
     if isinstance(node, Parameter):
         return _bound(node, binding)
     if isinstance(node, Variable):
-        raise NonConstantExponent(f"the variable t may not appear {where}", node.span)
+        raise ExpressionError(f"the variable t may not appear {where}", node.span)
     if isinstance(node, Pow):
         value = _power(
             const_eval(node.base, binding, where),
@@ -411,10 +402,10 @@ def const_eval(node: GfExpr, binding: ParamBinding, where: str = "in an exponent
             node.span,
         )
         if value is None:
-            raise NonConstantExponent(f"a power {where} is not rational", node.span)
+            raise ExpressionError(f"a power {where} is not rational", node.span)
         return value
     if type(node) not in _BINARY:
-        raise NonConstantExponent(f"exp/log are not allowed {where}", node.span)
+        raise ExpressionError(f"exp/log are not allowed {where}", node.span)
     left = const_eval(node.left, binding, where)
     right = const_eval(node.right, binding, where)
     try:
@@ -697,14 +688,10 @@ class OnlineSeries:
             a0 = arg.c[0]
             if isinstance(node, Exp):
                 if a0 != 0:
-                    raise NonzeroConstantTerm(
-                        "exp requires constant term exactly 0", node.span
-                    )
+                    raise ExpressionError("exp requires constant term exactly 0", node.span)
                 return self._add(_Exp(arg))
             if a0 != 1:
-                raise ConstantTermNotOne(
-                    "log requires constant term exactly 1", node.span
-                )
+                raise ExpressionError("log requires constant term exactly 1", node.span)
             return self._add(_Log(arg))
         if type(node) not in _BINARY:
             raise TypeError(f"not an expression node: {node!r}")
@@ -714,7 +701,7 @@ class OnlineSeries:
         try:
             return self._add(online(left, right, op))
         except ZeroDivisionError:  # c_0 of a quotient by a series with b_0 = 0
-            raise ZeroConstantTerm(
+            raise ExpressionError(
                 "cannot divide by a series with constant term 0", node.span
             ) from None
 
@@ -728,20 +715,18 @@ class OnlineSeries:
             return base
         if b0 == 0:
             if e.denominator != 1:
-                raise ConstantTermNotOne(
-                    "non-integer power of a series with constant term 0",
-                    node.span,
+                raise ExpressionError(
+                    "non-integer power of a series with constant term 0", node.span
                 )
             if e < 0:
-                raise ZeroConstantTerm(
-                    "negative power of a series with constant term 0",
-                    node.span,
+                raise ExpressionError(
+                    "negative power of a series with constant term 0", node.span
                 )
             return self._add(_Pow(base, e, _ZERO))
         _check_exponent(e, node.span)
         c0 = _power(b0, e, node.span)
         if c0 is None:
-            raise ConstantTermNotOne(
+            raise ExpressionError(
                 f"constant term {rational_to_string(b0)} has no exact rational "
                 f"root of index {e.denominator}",
                 node.span,

@@ -41,14 +41,7 @@ from operator import truediv
 
 from . import gfparse
 from ._record import Record
-from .errors import (
-    ConstantMismatch,
-    DenominatorVanishes,
-    NotInvertible,
-    OrderExceeded,
-    RhoRangeExceeded,
-    UndefinedConstant,
-)
+from .errors import DenominatorVanishes, HookTreesError, UndefinedConstant
 from .families import DegreeWeightFamily
 from .rational import as_rational, rational_from_string, rational_to_string
 from .series import TruncatedSeries
@@ -62,6 +55,8 @@ __all__ = [
     "rho_from_model",
     "series_from_rho",
     "rho_from_forest",
+    "check_tree_series",
+    "check_forest_series",
 ]
 
 
@@ -83,9 +78,7 @@ class HookWeightFunction(Record):
 
     def __call__(self, n: int) -> Fraction:
         if not 1 <= n <= len(self.values):
-            raise RhoRangeExceeded(
-                f"rho({n}) requested but the table covers 1..{len(self.values)}"
-            )
+            raise HookTreesError(f"rho({n}) requested but the table covers 1..{len(self.values)}")
         return self.values[n - 1]
 
     def to_strings(self) -> list[str]:
@@ -196,7 +189,7 @@ def rho_from_series(
     ``rho(n) = [z^n]F / [z^{n-1}] phi(F)``, each entry an exact quotient.
     Raises :class:`DenominatorVanishes` where the quotient is undefined.
     """
-    _check_tree_series(F, upto)
+    check_tree_series(F, upto)
     _, d = _walk(family.phi_at(), upto, lambda n, d_n: F.coeff(n))
     return HookWeightFunction(map(truediv, F.coefficients[1:], _denominators(d, "phi(F)")))
 
@@ -216,9 +209,7 @@ def series_from_rho(
     """The unique F with ``F(0)=0`` and ``[z^n]F = rho(n)*[z^{n-1}]phi(F)``:
     the walk itself; in particular ``F_1 = phi_0 * rho(1)``."""
     if rho.size < order:
-        raise RhoRangeExceeded(
-            f"rho covers 1..{rho.size} but order {order} was requested"
-        )
+        raise HookTreesError(f"rho covers 1..{rho.size} but order {order} was requested")
     w = rho.values  # a weight of 1 skips its product, so sg costs what a bare walk costs
     return _walk(family.phi_at(), order, lambda n, d: d if w[n - 1] == 1 else w[n - 1] * d)[0]
 
@@ -233,33 +224,40 @@ def rho_from_forest(
     linearly, with coefficient ``phi_1``, so the walk's rule is
     ``F_n = (G_n - [z^n] phi(F)|_{F_n = 0}) / phi_1``, the second term a
     :meth:`~gfparse.OnlineSeries.peek`; its d list is then G_0..G_{upto-1}.
-    Requires ``G(0) = phi_0`` exactly and ``phi_1 != 0``.
+    Requires :func:`check_forest_series` to pass and ``phi_1 != 0``.
     """
     if upto < 1:
         raise ValueError("upto must be at least 1")
-    if G.order < upto:
-        raise OrderExceeded(
-            f"G is known to order {G.order} but rho(1..{upto}) needs order {upto}"
-        )
-    phi0, phi1 = family.weight_of_degree(0), family.weight_of_degree(1)
-    if G.coeff(0) != phi0:
-        raise ConstantMismatch(
-            f"G(0) = {rational_to_string(G.coeff(0))} but the family has "
-            f"phi_0 = {rational_to_string(phi0)}"
-        )
+    check_forest_series(G, family, upto)
+    phi1 = family.weight_of_degree(1)
     if phi1 == 0:
-        raise NotInvertible(
-            "phi_1 = 0: the degree-weight series has no compositional inverse"
-        )
+        raise HookTreesError("phi_1 = 0: the degree-weight series has no compositional inverse")
     phi_of_F = family.phi_at()
     F, d = _walk(phi_of_F, upto, lambda n, d_n: (G.coeff(n) - phi_of_F.peek()) / phi1)
     return HookWeightFunction(map(truediv, F.coefficients[1:], _denominators(d, "G")))
 
 
-def _check_tree_series(F: TruncatedSeries, upto: int) -> None:
+def check_tree_series(F: TruncatedSeries, upto: int) -> None:
+    """Refuse a tree series F that :func:`rho_from_series` cannot read to
+    ``upto``: ``F(0) != 0``, or F known to a lower order."""
     if F.coeff(0) != 0:
-        raise ValueError("a tree counting series must have F(0) = 0")
+        raise HookTreesError("a tree counting series must have F(0) = 0")
     if F.order < upto:
-        raise OrderExceeded(
+        raise HookTreesError(
             f"F is known to order {F.order} but rho(1..{upto}) needs order {upto}"
+        )
+
+
+def check_forest_series(G: TruncatedSeries, family: DegreeWeightFamily, upto: int) -> None:
+    """Refuse a forest series G that :func:`rho_from_forest` cannot read
+    to ``upto``: G known to a lower order, or ``G(0) != phi_0``."""
+    if G.order < upto:
+        raise HookTreesError(
+            f"G is known to order {G.order} but rho(1..{upto}) needs order {upto}"
+        )
+    phi0 = family.weight_of_degree(0)
+    if G.coeff(0) != phi0:
+        raise HookTreesError(
+            f"G(0) = {rational_to_string(G.coeff(0))} but the family has "
+            f"phi_0 = {rational_to_string(phi0)}"
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import NonzeroInnerConstant, NotRevertible, OrderExceeded
+from .errors import HookTreesError
 from .rational import as_rational, rational_from_string, rational_to_string
 
 Scalar = int | Fraction
@@ -62,11 +62,11 @@ class TruncatedSeries:
         return self._coeffs
 
     def coeff(self, n: int) -> Fraction:
-        """Exact ``[z^n]``; raises :class:`OrderExceeded` past the order."""
+        """Exact ``[z^n]``; raises :class:`HookTreesError` past the order."""
         if n < 0:
             raise ValueError("coefficient index must be non-negative")
         if n > self.order:
-            raise OrderExceeded(
+            raise HookTreesError(
                 f"coefficient [z^{n}] requested but series is only known to order {self.order}"
             )
         return self._coeffs[n]
@@ -88,7 +88,7 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         """View of the same series at a lower (or equal) order."""
         if order > self.order:
-            raise OrderExceeded(
+            raise HookTreesError(
                 f"cannot truncate to order {order}: only known to order {self.order}"
             )
         if order == self.order:
@@ -157,9 +157,7 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """``f(g(z))`` by Horner evaluation; needs ``g(0) = 0``."""
         if inner._coeffs[0] != 0:
-            raise NonzeroInnerConstant(
-                "composition requires the inner series to have constant term 0"
-            )
+            raise HookTreesError("composition requires the inner series to have constant term 0")
         n = self._common(inner)
         g = inner.truncate(n)
         result = _constant(self._coeffs[n], n)
@@ -174,9 +172,7 @@ class TruncatedSeries:
         ``[z^n] f(g) = 0`` and dividing by the (nonzero) linear term.
         """
         if self._coeffs[0] != 0 or self.order < 1 or self._coeffs[1] == 0:
-            raise NotRevertible(
-                "reversion requires constant term 0 and a nonzero linear term"
-            )
+            raise HookTreesError("reversion requires constant term 0 and a nonzero linear term")
         n = self.order
         f1 = self._coeffs[1]
         out = [Fraction(0)] * (n + 1)

@@ -64,7 +64,7 @@ from itertools import chain, compress, repeat
 from math import comb, prod
 from operator import mul
 
-from ..errors import RhoRangeExceeded, SizeLimitExceeded
+from ..errors import HookTreesError
 
 __all__ = ["TALLY_LIMIT", "backend_name", "signature_counts", "weighted_sum"]
 
@@ -87,7 +87,7 @@ def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"trees have at least one vertex, got size {n}")
     if n > TALLY_LIMIT:
-        raise SizeLimitExceeded(
+        raise HookTreesError(
             f"the signature tally is limited to {TALLY_LIMIT} vertices, got {n}"
         )
 
@@ -389,7 +389,7 @@ def weighted_sum(
     """
     _check_size(n)
     if rho.size < n:
-        raise RhoRangeExceeded(
+        raise HookTreesError(
             f"trees of size {n} have hooks up to {n} but rho covers 1..{rho.size}"
         )
     if n not in _indexed:

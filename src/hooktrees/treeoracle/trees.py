@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from ..errors import SizeLimitExceeded, UnbalancedParens
+from ..errors import HookTreesError, ParseError
 
 __all__ = [
     "OrderedTree",
@@ -103,7 +103,7 @@ def labellings_bruteforce(tree: OrderedTree) -> int:
     """
     n = tree.size
     if n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitExceeded(
+        raise HookTreesError(
             f"brute-force labelling is limited to {BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
 
@@ -125,7 +125,7 @@ def parse_tree(text: str) -> OrderedTree:
     nesting is the child relation, the outermost pair is the root.
 
     Pairs may nest at most ``MAX_TREE_DEPTH`` deep; deeper words raise
-    :class:`SizeLimitExceeded`.
+    :class:`HookTreesError`.
     """
     stack: list[list[OrderedTree]] = []
     root: OrderedTree | None = None
@@ -134,26 +134,26 @@ def parse_tree(text: str) -> OrderedTree:
             continue
         if ch == "(":
             if root is not None:
-                raise UnbalancedParens("unexpected second root", offset)
+                raise ParseError("unexpected second root", offset)
             if len(stack) == MAX_TREE_DEPTH:
-                raise SizeLimitExceeded(
+                raise HookTreesError(
                     f"tree nests more than {MAX_TREE_DEPTH} levels deep at offset {offset}"
                 )
             stack.append([])
         elif ch == ")":
             if not stack:
-                raise UnbalancedParens("unmatched ')'", offset)
+                raise ParseError("unmatched ')'", offset)
             node = OrderedTree(tuple(stack.pop()))
             if stack:
                 stack[-1].append(node)
             else:
                 root = node
         else:
-            raise UnbalancedParens(f"unexpected character {ch!r}", offset)
+            raise ParseError(f"unexpected character {ch!r}", offset)
     if stack:
-        raise UnbalancedParens("unclosed '('", len(text))
+        raise ParseError("unclosed '('", len(text))
     if root is None:
-        raise UnbalancedParens("empty input", 0)
+        raise ParseError("empty input", 0)
     return root
 
 

@@ -13,14 +13,8 @@ collected by pytest.
 from fractions import Fraction
 from math import factorial
 
-from hooktrees.errors import (
-    ConstantTermNotOne,
-    DenominatorVanishes,
-    DomainError,
-    NonzeroConstantTerm,
-    ZeroConstantTerm,
-)
-from hooktrees.hookcalc import HookWeightFunction, _check_tree_series
+from hooktrees.errors import DenominatorVanishes, ExpressionError, HookTreesError
+from hooktrees.hookcalc import HookWeightFunction, check_tree_series
 from hooktrees.rational import Rational, as_rational
 from hooktrees.series import TruncatedSeries
 
@@ -60,7 +54,7 @@ def div(a, b) -> TruncatedSeries:
             raise ZeroDivisionError("division of a series by the scalar 0")
         return a * (Fraction(1) / scalar)
     if b.coefficients[0] == 0:
-        raise ZeroConstantTerm("cannot divide by a series with constant term 0")
+        raise ExpressionError("cannot divide by a series with constant term 0")
     n = min(a.order, b.order)
     g0 = b.coefficients[0]
     out = [Fraction(0)] * (n + 1)
@@ -86,7 +80,7 @@ def pow_int(f: TruncatedSeries, k: int) -> TruncatedSeries:
         return constant(1, f.order)
     if k < 0:
         if f.coefficients[0] == 0:
-            raise ZeroConstantTerm("negative power of a series with constant term 0")
+            raise ExpressionError("negative power of a series with constant term 0")
         return pow_int(div(constant(1, f.order), f), -k)
     base = f
     result = None
@@ -109,7 +103,7 @@ def pow_rational(f: TruncatedSeries, a: Fraction) -> TruncatedSeries:
     """
     a = as_rational(a)
     if f.coefficients[0] != 1:
-        raise ConstantTermNotOne("rational power requires constant term exactly 1")
+        raise ExpressionError("rational power requires constant term exactly 1")
     if a.denominator == 1:
         return pow_int(f, a.numerator)
     n = f.order
@@ -152,7 +146,7 @@ def exp(f: TruncatedSeries) -> TruncatedSeries:
     ``n*E_n = sum_{j=1..n} j * f_j * E_{n-j}``, ``E_0 = 1``.
     """
     if f.coeff(0) != 0:
-        raise NonzeroConstantTerm("exp requires constant term exactly 0")
+        raise ExpressionError("exp requires constant term exactly 0")
     n = f.order
     out = [Fraction(0)] * (n + 1)
     out[0] = Fraction(1)
@@ -173,7 +167,7 @@ def log(f: TruncatedSeries) -> TruncatedSeries:
     ``n*L_n = n*f_n - sum_{j=1..n-1} f_j * (n-j) * L_{n-j}``, ``L_0 = 0``.
     """
     if f.coeff(0) != 1:
-        raise ConstantTermNotOne("log requires constant term exactly 1")
+        raise ExpressionError("log requires constant term exactly 1")
     n = f.order
     out = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
@@ -196,7 +190,7 @@ def binary_rho(F: TruncatedSeries, upto: int) -> HookWeightFunction:
     as an independent cross-check of ``hookcalc.rho_from_series`` at
     ``phi = (1+t)^2``.
     """
-    _check_tree_series(F, upto)
+    check_tree_series(F, upto)
     den_series = pow_int(F.truncate(upto - 1) + 1, 2)
     values = []
     for n in range(1, upto + 1):
@@ -243,5 +237,5 @@ def alpha_family_count(alpha: Rational, n: int) -> Fraction:
 def _check_alpha(alpha: Rational) -> Fraction:
     alpha = as_rational(alpha)
     if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+        raise HookTreesError(f"alpha must be positive, got {alpha}")
     return alpha

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import comb
 
-from hooktrees.errors import RhoRangeExceeded
+from hooktrees.errors import HookTreesError
 from hooktrees.treeoracle import OrderedTree, hook_lengths
 
 LEAF = OrderedTree()
@@ -71,7 +71,7 @@ def _forests(sizes: tuple[int, ...]) -> Iterator[tuple[OrderedTree, ...]]:
 def tree_weight_hook(tree: OrderedTree, rho: "HookWeightFunction") -> Fraction:
     """Product of ``rho(h_v)`` over all vertices."""
     if rho.size < tree.size:
-        raise RhoRangeExceeded(
+        raise HookTreesError(
             f"tree has hook lengths up to {tree.size} but rho covers 1..{rho.size}"
         )
     total = Fraction(1)

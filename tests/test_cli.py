@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hooktrees import cli, gfparse, hookcalc, treeoracle
-from hooktrees.errors import ConstantTermNotOne, ParseError
+from hooktrees.errors import ExpressionError, ParseError
 from hooktrees.series import TruncatedSeries
 
 
@@ -656,7 +656,7 @@ class TestInputBounds:
 class TestExpressionErrorsNameTheFlag:
     """A parse, evaluation or series error in an expression, or a bad
     value, names the flag whose text it came from once, in one line, and
-    exits 2."""
+    exits 2.  An error about the family as a whole names no flag."""
 
     @pytest.mark.parametrize(
         "argv,line",
@@ -738,6 +738,31 @@ class TestExpressionErrorsNameTheFlag:
             pytest.param(
                 ["labellings", "--tree", "(" * 201 + ")" * 201],
                 "--tree: tree nests more than 200 levels deep at offset 200", id="deep-tree"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "foo(t)"],
+             "--phi: unknown function 'foo' at offset 0 (expected exp, log)"),
+            (["verify", "--phi", "plane", "--rho", "sin(n)", "--max-n", "3"],
+             "--rho: unknown function 'sin' at offset 0 (expected exp, log)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "kary"],
+             "--phi: family spec 'kary' takes 1 parameter(s), got 0"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "kary:1/2"],
+             "--phi: kary arity must be an integer, got 1/2"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "2*t^(-1)"],
+             "--phi: negative power of a series with constant term 0 (at offsets 2..7)"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "1+t^(1/2)"],
+             "--phi: non-integer power of a series with constant term 0 (at offsets 2..8)"),
+            # outside --rho, a constant that divides by zero is an input error
+            (["series", "--model", "sg", "--order", "3", "--phi", "1+t^(1/(1-1))"],
+             "--phi: division by zero in an exponent (at offsets 5..11)"),
+            (["rho", "--phi", "binary", "--F", "1+t", "--order", "3"],
+             "--F: a tree counting series must have F(0) = 0"),
+            (["rho-forest", "--phi", "binary", "--G", "2+t", "--order", "3"],
+             "--G: G(0) = 2 but the family has phi_0 = 1"),
+            # phi_1 = 0 is about --phi, not --G
+            (["rho-forest", "--phi", "1+t^2", "--G", "1+t", "--order", "3"],
+             "phi_1 = 0: the degree-weight series has no compositional inverse"),
+            (["series", "--model", "sg", "--order", "3", "--phi", "1+t"],
+             "1+t: degenerate family: phi_k = 0 for all k in 2..3 "
+             "(use --allow-degenerate to run anyway)"),
         ],
     )
     def test_one_line_names_the_flag(self, capsys, argv, line):
@@ -748,7 +773,7 @@ class TestExpressionErrorsNameTheFlag:
             cli._read_flag("--rho", gfparse.parse, "1+")
         assert info.value.offset == 2
         assert str(info.value).startswith("--rho: unexpected end of input")
-        with pytest.raises(ConstantTermNotOne) as info:
+        with pytest.raises(ExpressionError, match="^--phi: log requires constant term") as info:
             cli._read_flag("--phi", gfparse.evaluate, gfparse.parse("log(2+t)"), {}, 3)
         assert info.value.span == (0, 8)
 

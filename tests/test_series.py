@@ -2,14 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hooktrees.errors import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    NonzeroInnerConstant,
-    NotRevertible,
-    OrderExceeded,
-    ZeroConstantTerm,
-)
+from hooktrees.errors import ExpressionError, HookTreesError
 from hooktrees.series import TruncatedSeries
 
 from eager_series import (
@@ -94,7 +87,7 @@ class TestDiv:
         assert div(constant(1, 3), S(1, -2, order=3)) == S(1, 2, 4, 8)
 
     def test_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTerm):
+        with pytest.raises(ExpressionError, match="cannot divide by a series"):
             div(constant(1, 3), identity(3))
 
     def test_mul_div_roundtrip(self):
@@ -115,7 +108,7 @@ class TestPowInt:
         assert power(S(1, 1, order=3), -1) == S(1, -1, 1, -1)
 
     def test_negative_power_needs_unit(self):
-        with pytest.raises(ZeroConstantTerm):
+        with pytest.raises(ExpressionError, match="negative power of a series"):
             power(identity(3), -2)
 
 
@@ -132,7 +125,7 @@ class TestPowRational:
         assert power(S(1, -1, order=4), Q(-2)) == S(1, 2, 3, 4, 5)
 
     def test_requires_unit_constant_term(self):
-        with pytest.raises(ConstantTermNotOne):
+        with pytest.raises(ExpressionError, match="rational power requires constant term"):
             pow_rational(S(2, 1, 1), Q(1, 2))
 
     def test_consistent_with_integer_powers(self):
@@ -161,11 +154,11 @@ class TestExpLog:
         assert log(exp(f)) == S(0, 1, 1, 0, 0)
 
     def test_exp_rejects_constant_term(self):
-        with pytest.raises(NonzeroConstantTerm):
+        with pytest.raises(ExpressionError, match="exp requires constant term exactly 0"):
             exp(constant(1, 3))
 
     def test_log_requires_unit(self):
-        with pytest.raises(ConstantTermNotOne):
+        with pytest.raises(ExpressionError, match="log requires constant term exactly 1"):
             log(S(2, 1, 1))
 
 
@@ -184,7 +177,7 @@ class TestCompose:
         assert f.compose(inner) == S(1, 2, 3, 2)
 
     def test_inner_constant_rejected(self):
-        with pytest.raises(NonzeroInnerConstant):
+        with pytest.raises(HookTreesError, match="composition requires the inner series"):
             geometric(3).compose(constant(1, 3))
 
 
@@ -203,7 +196,7 @@ class TestRevert:
 
     @pytest.mark.parametrize("bad", [S(1, 1, 1), S(0, 0, 1), constant(0, 4)])
     def test_not_revertible(self, bad):
-        with pytest.raises(NotRevertible):
+        with pytest.raises(HookTreesError, match="reversion requires constant term 0"):
             bad.revert()
 
 
@@ -235,7 +228,7 @@ class TestCoeff:
         assert all(g.coeff(k) == 1 for k in range(10))
 
     def test_order_exceeded(self):
-        with pytest.raises(OrderExceeded):
+        with pytest.raises(HookTreesError, match=r"coefficient \[z\^5\] requested"):
             S(1, 2).coeff(5)
 
     def test_negative_index(self):

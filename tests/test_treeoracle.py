@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from hooktrees import families
-from hooktrees.errors import RhoRangeExceeded, SizeLimitExceeded, UnbalancedParens
+from hooktrees.errors import HookTreesError, ParseError
 from hooktrees.hookcalc import HookWeightFunction
 from hooktrees.treeoracle import (
     MAX_TREE_DEPTH,
@@ -185,9 +185,9 @@ class TestSignatureCounts:
             weighted_sum(0, fam, rho)
         assert TALLY_LIMIT == 16
         assert sum(signature_counts(TALLY_LIMIT).values()) == catalan(TALLY_LIMIT - 1)
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HookTreesError, match="the signature tally is limited to 16"):
             signature_counts(TALLY_LIMIT + 1)
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HookTreesError, match="the signature tally is limited to 16"):
             weighted_sum(TALLY_LIMIT + 1, fam, rho)
 
     def test_backend_name_is_one_token(self):
@@ -290,7 +290,7 @@ class TestHookWeights:
 
     def test_table_too_short(self):
         rho = HookWeightFunction.from_spec("1", 2)
-        with pytest.raises(RhoRangeExceeded):
+        with pytest.raises(HookTreesError, match="hook lengths up to 3 but rho covers 1..2"):
             tree_weight_hook(parse_tree("((()))"), rho)
 
 
@@ -382,7 +382,7 @@ class TestWeightedSum:
             assert flat == signature_counts(m), m
 
     def test_rho_table_too_short(self):
-        with pytest.raises(RhoRangeExceeded):
+        with pytest.raises(HookTreesError, match="hooks up to 4 but rho covers 1..3"):
             weighted_sum(4, families.from_spec("plane"), HookWeightFunction.from_spec("1", 3))
 
     def test_derived_rho_reproduces_its_source_series(self):
@@ -641,7 +641,7 @@ class TestLabellings:
     def test_brute_force_guard(self):
         chain = parse_tree("(((((((((())))))))))")
         assert chain.size == 10
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HookTreesError, match="brute-force labelling is limited to 8"):
             labellings_bruteforce(chain)
 
 
@@ -658,13 +658,15 @@ class TestTreeText:
         assert parse_tree("(()())") == OrderedTree((LEAF, LEAF))
 
     @pytest.mark.parametrize(
-        "word,offset",
-        [("(()", 3), ("())", 2), ("", 0), ("()()", 2), ("(x)", 1)],
+        "word,offset,message",
+        [("(()", 3, "unclosed '('"), ("())", 2, "unmatched ')'"), ("", 0, "empty input"),
+         ("()()", 2, "unexpected second root"), ("(x)", 1, "unexpected character 'x'")],
     )
-    def test_errors_carry_offsets(self, word, offset):
-        with pytest.raises(UnbalancedParens) as info:
+    def test_errors_carry_offsets(self, word, offset, message):
+        with pytest.raises(ParseError) as info:
             parse_tree(word)
         assert info.value.offset == offset
+        assert str(info.value) == f"{message} at offset {offset}"
 
     def test_format_inverse_on_enumeration(self):
         for tree in enumerate_trees(6):
@@ -677,6 +679,6 @@ class TestTreeText:
         assert labellings_recursive(path) == 1
         assert format_tree(path) == "(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH
         assert tree_weight_deg(families.from_spec("plane"), path) == 1
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HookTreesError, match="tree nests more than 200 levels deep"):
             parse_tree("(" * (MAX_TREE_DEPTH + 1) + ")" * (MAX_TREE_DEPTH + 1))
 
