@@ -8,9 +8,11 @@ Subcommands: ``series`` (solve the family equations), ``rho`` and
 Exit codes: 0 success/verified, 1 verified-false, 2 input error (any
 ``ValueError``, which includes every ``errors.HookTreesError``), 3 the
 weight function is undefined (``errors.DenominatorVanishes``), 4 an
-internal error (an exception that no input should cause: a bug, or the
-machine out of memory), reported as one ``error: internal error:`` line
-without a traceback, 141 stdout closed by its reader (nothing on stderr).
+internal error (an exception that no input should cause: a bug, the
+machine out of memory, or a failed write to stdout such as ``> /dev/full``),
+reported as one ``error: internal error:`` line without a traceback, 141
+stdout closed by its reader (nothing on stderr).  A failed write to stderr
+loses its line but never changes the exit code.
 Input past a resource bound is an input error: ``--order`` above
 ``MAX_ORDER``, ``--max-n`` above ``MAX_VERIFY_N``, an expression nested
 deeper than ``gfparse.MAX_DEPTH``, a power too large and a tree nested
@@ -26,13 +28,14 @@ usage error (an unknown command or flag, an ambiguous prefix, a missing
 value or required flag, a bad choice, a non-integer ``--order`` or
 ``--max-n``) writes one ``error:`` line and exits 2.  ``json`` and ``csv``
 are imported only by the output format that prints with them, which keeps
-start-up short, and :func:`run` freezes the collector's heap before the
-process exits, which keeps the end short.
+start-up short, and :func:`run` ends the process without the interpreter's
+teardown, which keeps the end short.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -106,17 +109,24 @@ _TOP_FLAGS = (*_HELP_FLAGS, "--version")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr.  A failed write loses the line, never the
+    exit code that the line explains."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _usage_error(message: str):
-    print(f"error: {message}", file=sys.stderr)
+    _say(f"error: {message}")
     raise SystemExit(EXIT_INPUT)
 
 
 def _print_and_exit(text: str):
     """Print ``--help`` or ``--version`` and exit 0.  One write, so that
-    ``| head -1`` reads the whole line before it closes the pipe, and
-    flushed, so that :func:`run` sees a pipe that was closed earlier."""
+    ``| head -1`` reads the whole line before it closes the pipe."""
     sys.stdout.write(text + "\n")
-    sys.stdout.flush()
     raise SystemExit(EXIT_OK)
 
 
@@ -304,7 +314,7 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
         read = gfparse.parameters(family.expression)
     report = family.validate(size)
     for warning in report.warnings:
-        print(f"warning: {family.name}: {warning}", file=sys.stderr)
+        _say(f"warning: {family.name}: {warning}")
     if not report.ok and not args.allow_degenerate:
         raise HookTreesError(
             f"{family.name}: {'; '.join(report.violations)} "
@@ -472,48 +482,86 @@ _HANDLERS = {
 }
 
 
+def _internal_error(err: Exception) -> int:
+    _say(f"error: internal error: {type(err).__name__}: {err}")
+    return EXIT_INTERNAL
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit code.  ``--help``,
     ``--version`` and a usage error raise ``SystemExit`` instead, and a
-    closed stdout raises ``BrokenPipeError`` for :func:`run` to report."""
+    failed write to stdout raises ``OSError`` (``BrokenPipeError`` when
+    its reader closed it) for :func:`run` to report."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _say(f"error: {err}")
         return EXIT_UNDEFINED if isinstance(err, DenominatorVanishes) else EXIT_INPUT
-    except BrokenPipeError:
+    except OSError:
         raise
     except Exception as err:
-        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(err)
+
+
+def _drop(stream) -> None:
+    """Point ``stream`` at the null device after a failed write, so that
+    what it still buffers goes nowhere instead of failing again at exit."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _observed() -> bool:
+    """Whether someone watches this process: a tracer or profiler installed
+    by ``sys.settrace`` or ``sys.setprofile``, a ``sys.monitoring`` tool
+    (how cProfile attaches from Python 3.12 on), or ``python -i``, which
+    inspects the interpreter once the command is done."""
+    if sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))  # ids 0-5
 
 
 def run() -> None:
     """The process entry point: the console script and ``python -m
     hooktrees.cli``.
 
-    The process ends with the collector's heap frozen, so the
-    interpreter's finalization does not collect over every object that
-    start-up and the command made (about 7 ms of a 70 ms command on one
-    core of a shared 2-vCPU Xeon); stdio is still flushed and atexit
-    handlers still run.  ``--help``, ``--version`` and a usage error
-    raise ``SystemExit`` inside :func:`main`, and the ``finally`` covers
-    them too.  A closed stdout (``| head -1``) exits ``EXIT_PIPE`` with
-    nothing on stderr.  :func:`main` itself does not freeze: tests and
-    library callers run it many times in one process and need a working
-    collector.
+    It runs :func:`main`, keeping the code of the ``SystemExit`` that
+    ``--help``, ``--version`` and a usage error raise, and flushes stdout.
+    A failed write to stdout ends the command: a closed stdout (``| head
+    -1``) exits ``EXIT_PIPE`` with nothing on stderr, any other failure
+    (``> /dev/full``) exits ``EXIT_INTERNAL`` with one ``error: internal
+    error:`` line, and what stdout still buffers is dropped.
+
+    The process then ends through ``os._exit`` once the atexit handlers
+    have run and stdout and stderr are flushed (a stream whose flush fails
+    is dropped too).  That skips the interpreter's teardown of every module
+    and object that start-up and the command made (about 1-2 ms of a 55 ms
+    command on one core of a shared 2-vCPU Xeon).  A process that a tracer
+    or profiler watches (coverage, ``python -m cProfile``), or that
+    ``python -i`` will inspect, ends through ``sys.exit`` instead, so that
+    it still writes its report.  :func:`main` itself never ends the
+    process: tests and library callers run it many times in one.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as stop:
+            code = stop.code
         sys.stdout.flush()
-    except BrokenPipeError:
-        import os  # not loaded at start-up; only this branch needs it
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # for the flush at exit
-        code = EXIT_PIPE
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    except OSError as err:
+        _drop(sys.stdout)
+        code = EXIT_PIPE if isinstance(err, BrokenPipeError) else _internal_error(err)
+    observed = _observed()
+    if not observed:
+        atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            _drop(stream)
+    if observed:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

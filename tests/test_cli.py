@@ -856,19 +856,39 @@ class TestColdStart:
         )
         assert lines[-1] == loaded
 
+    # A verify whose right side is off by one at n = 2, as in
+    # TestVerifyCommand.test_perturbed_rhs_is_falsified.
+    PERTURB = (
+        "from hooktrees import hookcalc\n"
+        "from hooktrees.series import TruncatedSeries\n"
+        "real = hookcalc.series_from_rho\n"
+        "def perturbed(rho, family, order):\n"
+        "    coeffs = list(real(rho, family, order).coefficients)\n"
+        "    coeffs[2] += 1\n"
+        "    return TruncatedSeries(coeffs)\n"
+        "hookcalc.series_from_rho = perturbed\n"
+    )
+
     # One command of each exit path: SystemExit inside main (--version, a
-    # usage error), exit 0, exit 3, and a large output that must still be
-    # flushed when the process ends.
+    # usage error), exit 0, 1, 2 and 3, and large outputs that must still
+    # be flushed when the process ends, to a pipe and to a regular file.
+    # Each row is (argv, status, where stdout goes, code run before main).
     ENTRY_COMMANDS = [
-        pytest.param(["--version"], 0, id="version"),
+        pytest.param(["--version"], 0, "pipe", "", id="version"),
         pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "x"], 2,
-                     id="usage-error"),
+                     "pipe", "", id="usage-error"),
         pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "3"], 0,
-                     id="series"),
+                     "pipe", "", id="series"),
+        pytest.param(["verify", "--phi", "binary", "--rho", "1", "--max-n", "3"], 1,
+                     "pipe", PERTURB, id="verify-falsified"),
+        pytest.param(["verify", "--phi", "binary", "--rho", "1+", "--max-n", "3"], 2,
+                     "pipe", "", id="expression-error"),
         pytest.param(["rho", "--phi", "1+t^2", "--from-model", "sg", "--order", "4"], 3,
-                     id="rho-undefined"),
+                     "pipe", "", id="rho-undefined"),
         pytest.param(["rho-forest", "--phi", "labelled", "--G", "1/(1-t)", "--order", "300"],
-                     0, id="rho-forest-300"),
+                     0, "pipe", "", id="rho-forest-300"),
+        pytest.param(["series", "--model", "sg", "--phi", "labelled", "--order", "300"], 0,
+                     "file", "", id="series-300-to-file"),
     ]
 
     @pytest.mark.parametrize("argv", [
@@ -894,38 +914,153 @@ class TestColdStart:
         assert (child.wait(timeout=60), err) == (141, b"")
 
     @staticmethod
-    def entry(call, argv, tmp_path):
-        """Exit code, stdout and stderr bytes of ``hooktrees.cli.<call>``
-        run in a fresh -S interpreter through pipes, and the collector's
-        freeze count that an atexit handler saw."""
+    def python(*args, env=os.environ, **options):
+        """``python -S ARGS`` run with the package's source on its path."""
         src = Path(__file__).resolve().parents[1] / "src"
-        counted = tmp_path / f"{call}.count"
+        return subprocess.run([sys.executable, "-S", *args],
+                              env=dict(env, PYTHONPATH=str(src)), **options)
+
+    @classmethod
+    def entry(cls, call, argv, tmp_path, sink, patch):
+        """Exit code, stdout and stderr bytes of ``hooktrees.cli.<call>``
+        run in a fresh interpreter after ``patch``, with stdout on a pipe or
+        a regular file, and whether an atexit handler ran."""
+        ran = tmp_path / f"{call}.ran"
         code = (
-            "import atexit, gc, sys, hooktrees.cli\n"
-            f"atexit.register(lambda: open({str(counted)!r}, 'w')"
-            ".write(str(gc.get_freeze_count())))\n"
-            f"sys.argv[1:] = {argv!r}\n"
+            "import atexit, sys, hooktrees.cli\n"
+            f"atexit.register(lambda: open({str(ran)!r}, 'w').close())\n"
+            + patch
+            + f"sys.argv[1:] = {argv!r}\n"
             + ("hooktrees.cli.run()\n" if call == "run"
                else "sys.exit(hooktrees.cli.main())\n")
         )
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        )
-        return result.returncode, result.stdout, result.stderr, int(counted.read_text())
+        out = tmp_path / f"{call}.out"
+        with open(out, "wb") as handle:
+            result = cls.python("-c", code, stderr=subprocess.PIPE,
+                                stdout=handle if sink == "file" else subprocess.PIPE)
+        stdout = out.read_bytes() if sink == "file" else result.stdout
+        return result.returncode, stdout, result.stderr, ran.exists()
 
-    @pytest.mark.parametrize("argv, status", ENTRY_COMMANDS)
-    def test_run_ends_frozen_with_the_output_of_main(self, argv, status, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, status, sink, patch", ENTRY_COMMANDS)
+    def test_run_gives_the_output_of_main(self, argv, status, sink, patch, capsys,
+                                          monkeypatch, tmp_path):
+        # run() ends the process through os._exit: its exit code, stdout and
+        # stderr are still main()'s, byte for byte, and atexit handlers run
+        monkeypatch.setattr(hookcalc, "series_from_rho", hookcalc.series_from_rho)
+        exec(patch, {})
         try:
             code = cli.main(argv)
         except SystemExit as stop:
             code = stop.code
         captured = capsys.readouterr()
-        expected = (code, captured.out.encode(), captured.err.encode())
+        expected = (code, captured.out.encode(), captured.err.encode(), True)
         assert code == status
-        *ran, frozen = self.entry("run", argv, tmp_path)
-        assert tuple(ran) == expected
-        assert frozen > 0
-        *ran, frozen = self.entry("main", argv, tmp_path)
-        assert tuple(ran) == expected
-        assert frozen == 0
+        assert self.entry("run", argv, tmp_path, sink, patch) == expected
+        assert self.entry("main", argv, tmp_path, sink, patch) == expected
+
+    @pytest.mark.parametrize("watch, torn_down", [
+        ("", False),
+        ("sys.settrace(lambda *args: None)", True),
+        ("sys.setprofile(lambda *args: None)", True),
+    ], ids=["unwatched", "traced", "profiled"])
+    def test_run_skips_teardown_unless_watched(self, watch, torn_down, tmp_path):
+        # an object that lives until teardown leaves a file when it is
+        # finalized; a traced or profiled run ends through sys.exit
+        marker = tmp_path / "torn"
+        code = (
+            "import sys, hooktrees.cli\n"
+            "class Torn:\n"
+            f"    def __del__(self, open=open, path={str(marker)!r}):\n"
+            "        open(path, 'w').close()\n"
+            "keep = Torn()\n"
+            "sys.argv[1:] = ['--version']\n"
+            f"{watch}\n"
+            "hooktrees.cli.run()\n"
+        )
+        result = self.python("-c", code, capture_output=True)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, f"hooktrees {cli.__version__}\n".encode(), b"")
+        assert marker.exists() == torn_down
+
+    def test_profiled_run_still_prints_its_table(self):
+        # from Python 3.12 on cProfile attaches through sys.monitoring, not
+        # sys.setprofile; either way the process must end through sys.exit
+        result = self.python("-m", "cProfile", "-m", "hooktrees.cli", "--version",
+                             capture_output=True, text=True)
+        lines = result.stdout.splitlines()
+        assert (result.returncode, result.stderr) == (0, "")
+        assert lines[0] == f"hooktrees {cli.__version__}"
+        assert "function calls" in lines[1]
+        assert "Ordered by" in result.stdout
+
+    def test_inspected_run_reaches_the_prompt(self):
+        # python -i reads its stdin once the command is done
+        result = self.python("-i", "-m", "hooktrees.cli", "--version", capture_output=True,
+                             text=True, input="print('inspected')\n")
+        assert result.stdout == f"hooktrees {cli.__version__}\ninspected\n"
+
+    @classmethod
+    def full(cls, argv, streams, unbuffered, watch=""):
+        """Exit code and captured stderr and stdout bytes of ``run``, after
+        ``watch``, with each of ``streams`` written to /dev/full, which
+        fails every write with ENOSPC."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            result = cls.python(
+                "-c", f"import sys, hooktrees.cli\n{watch}\nhooktrees.cli.run()", *argv, env=env,
+                stdout=full if "stdout" in streams else subprocess.PIPE,
+                stderr=full if "stderr" in streams else subprocess.PIPE,
+            )
+        return result.returncode, result.stderr, result.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--version"], id="version"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["verify", "--help"], id="command-help"),
+        pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "5"],
+                     id="series"),
+        pytest.param(["series", "--model", "sg", "--phi", "labelled", "--order", "300"],
+                     id="series-300"),
+        pytest.param(["verify", "--phi", "plane", "--rho", "1", "--max-n", "6"],
+                     id="verify"),
+    ])
+    def test_failed_write_to_stdout_exits_4_with_one_line(self, argv, unbuffered):
+        assert self.full(argv, ["stdout"], unbuffered) == (
+            4, b"error: internal error: OSError: [Errno 28] No space left on device\n", None)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, status, out", [
+        pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "x"], 2, b"",
+                     id="usage-error"),
+        pytest.param(["verify", "--phi", "binary", "--rho", "1+", "--max-n", "3"], 2, b"",
+                     id="expression-error"),
+        pytest.param(["verify", "--phi", "plane", "--rho", "1,2", "--max-n", "3"], 2, b"",
+                     id="short-rho-table"),
+        pytest.param(["rho", "--phi", "1+t^2", "--from-model", "sg", "--order", "4"], 3, b"",
+                     id="rho-undefined"),
+        # the warning line is lost; the command still runs and prints
+        pytest.param(["series", "--model", "sg", "--phi", "1+t-t^2+t^3", "--order", "5"], 0,
+                     b"coefficients 0 1 1 0 -1 1\n", id="warning"),
+    ])
+    def test_failed_write_to_stderr_keeps_the_exit_code(self, argv, status, out, unbuffered):
+        assert self.full(argv, ["stderr"], unbuffered) == (status, None, out)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_writes_to_both_streams_exit_4(self):
+        assert self.full(["--version"], ["stdout", "stderr"], False) == (4, None, None)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, streams, status", [
+        (["--version"], ["stdout"], 4),
+        (["series", "--model", "sg", "--phi", "binary", "--order", "x"], ["stderr"], 2),
+        (["--version"], ["stdout", "stderr"], 4),
+    ], ids=["stdout", "stderr", "both"])
+    def test_profiled_run_keeps_the_exit_code_of_a_failed_write(self, argv, streams, status):
+        # a run that ends through sys.exit flushes its streams once more there
+        code, _, _ = self.full(argv, streams, False, watch="sys.setprofile(lambda *args: None)")
+        assert code == status
