@@ -45,7 +45,10 @@ n = 13 and 112 kB at n = 16.  The degree side likewise depends on the
 size and the family alone, and each size keeps it per distinct family
 (keyed by phi's values at 0..n-1): the weight of each row and the
 degree denominator.  So a later call at the same size, rho and family
-costs one multiply per row it weighs nonzero.
+costs one multiply per row it weighs nonzero.  Each size keeps at most
+``_KEPT`` hook sides and ``_KEPT`` degree sides, and drops the oldest
+to make room for a new one, so a process that sums many tables holds
+a bounded amount; a dropped side is rebuilt when it is asked for again.
 
 The tests hold this oracle against two references, both kept in
 ``tests/literal_oracle.py`` and not in the package: the literal stream
@@ -227,7 +230,8 @@ def signature_counts(n: int) -> dict[bytes, int]:
 
 class _SizeIndex:
     """The tally of one size, with every distinct block listed once, and
-    the hook side of each rho table weighed at that size so far.
+    the hook sides of at most ``_KEPT`` rho tables weighed at that size,
+    the most recently built.
 
     ``degrees`` and ``counts`` hold one entry per degree histogram (a
     row): its bytes and the counts of its signatures.  A hook histogram
@@ -355,6 +359,21 @@ def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(ids.setdefault, values, map(len, repeat(ids))))
 
 
+# The most hook sides, and the most degree sides, one size keeps.  At one
+# size the catalogue tests keep at most 18 hook sides and 11 degree sides,
+# the whole test suite run in one process 29 and 17, and verify one each.
+_KEPT = 32
+
+
+def _keep(kept: dict, key, side):
+    """``side``, stored under ``key`` in ``kept`` after the oldest entry
+    is dropped if ``kept`` already holds ``_KEPT``."""
+    if len(kept) >= _KEPT:
+        del kept[next(iter(kept))]
+    kept[key] = side
+    return side
+
+
 # Indexed tallies by size, filled by one pass for every size up to the one
 # asked for.  Only ``weighted_sum`` reads them, and it writes nothing to
 # an index but the hook sides in ``hooks`` and the degree sides in ``phis``.
@@ -385,7 +404,8 @@ def weighted_sum(
     The degree side depends on n and the family alone, and is kept the
     same way, keyed by phi's values at 0..n-1: O(rows) integers per
     distinct family per size.  A later call at the same n, rho and
-    family costs one multiply per nonzero row.
+    family costs one multiply per nonzero row.  Each size keeps at most
+    ``_KEPT`` of each side and drops the oldest first.
     """
     _check_size(n)
     if rho.size < n:
@@ -400,13 +420,13 @@ def weighted_sum(
     key = tuple(map(Fraction.as_integer_ratio, rho.values[:n]))
     hooks = index.hooks.get(key)
     if hooks is None:
-        hooks = index.hooks[key] = _HookSide(index, key)
+        hooks = _keep(index.hooks, key, _HookSide(index, key))
     ratios = [(w.numerator, w.denominator) for w in map(family.weight_of_degree, range(n))]
     # one flat key: a kept entry adds one object for the collector, not n + 1
     key = tuple(chain.from_iterable(ratios))
     degree_side = index.phis.get(key)
     if degree_side is None:
-        degree_side = index.phis[key] = _degree_side(index, ratios)
+        degree_side = _keep(index.phis, key, _degree_side(index, ratios))
     weights, denominator = degree_side
     # a polynomial phi weighs most degree histograms 0 (binary: 87% of the
     # signatures at n = 16), and their hook sums are neither made nor read

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -150,13 +152,6 @@ class TestRhoCommand:
             "3, 5, 7, 9, 11, ... (identities remain formal)\n"
         )
 
-    def test_explicit_series_expression(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rho", "--phi", "binary", "--F", "t/(1-t)", "--order", "4"
-        )
-        assert code == 0
-        assert out == "1 1/2 1/3 1/4\n"
-
     def test_exactly_one_source_required(self, capsys):
         code, _, err = run_cli(
             capsys, "rho", "--phi", "binary", "--order", "4"
@@ -220,6 +215,21 @@ class TestRhoCommand:
         assert (code, out) == (0, expected + "\n")
         assert len(calls) == 4 * order - 1
 
+    @pytest.mark.parametrize("argv, out", [
+        # the sg model weighs every hook 1 up to the top order
+        pytest.param(["--from-model", "sg", "--phi", "labelled", "--order", "300"],
+                     " ".join(["1"] * 300), id="sg-labelled-300"),
+        # and the inc model a hook of length h by 1/h
+        pytest.param(["--from-model", "inc", "--phi", "binary", "--order", "300"],
+                     " ".join(["1"] + [f"1/{n}" for n in range(2, 301)]), id="inc-binary-300"),
+        pytest.param(["--phi", "binary", "--F", "t/(1-t)", "--order", "4"], "1 1/2 1/3 1/4",
+                     id="binary-from-F"),
+        pytest.param(["--phi", "plane", "--F", "t/(1-t)", "--order", "4"], "1 1 1/2 1/4",
+                     id="plane-from-F"),
+    ])
+    def test_prints_the_table(self, capsys, argv, out):
+        assert run_cli(capsys, "rho", *argv) == (0, out + "\n", "")
+
     def test_json_round_trips_rationals(self, capsys):
         code, out, _ = run_cli(
             capsys, "rho", "--phi", "labelled", "--from-model", "inc",
@@ -231,13 +241,6 @@ class TestRhoCommand:
 
 
 class TestRhoForestCommand:
-    def test_labelled_geometric(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rho-forest", "--phi", "labelled", "--G", "1/(1-t)", "--order", "4"
-        )
-        assert code == 0
-        assert out == "1 1/2 1/3 1/4\n"
-
     def test_param_read_by_the_forest_series_only(self, capsys):
         code, out, err = run_cli(
             capsys, "rho-forest", "--phi", "labelled", "--G", "exp(a*t)",
@@ -246,11 +249,24 @@ class TestRhoForestCommand:
         assert (code, out, err) == (0, "1 0 0\n", "")
 
     def test_constant_mismatch(self, capsys):
-        code, _, err = run_cli(
+        assert run_cli(
             capsys, "rho-forest", "--phi", "labelled", "--G", "2/(1-t)", "--order", "4"
-        )
-        assert code == 2
-        assert "phi_0" in err
+        ) == (2, "", "error: --G: G(0) = 2 but the family has phi_0 = 1\n")
+
+    @pytest.mark.parametrize("argv, out", [
+        # G = 1/(1-t) for labelled gives rho(n) = 1/n, up to the top order
+        pytest.param(["--phi", "labelled", "--order", "4"], "1 1/2 1/3 1/4\n",
+                     id="labelled-4"),
+        pytest.param(["--phi", "labelled", "--order", "300"],
+                     " ".join(["1"] + [f"1/{n}" for n in range(2, 301)]) + "\n",
+                     id="labelled-300"),
+        pytest.param(["--phi", "binary", "--order", "4", "--output", "csv"],
+                     "n,rho\n1,1/2\n2,3/8\n3,5/16\n4,35/128\n", id="binary-csv"),
+        pytest.param(["--phi", "binary", "--order", "4", "--output", "json"],
+                     '{"rho": ["1/2", "3/8", "5/16", "35/128"]}\n', id="binary-json"),
+    ])
+    def test_geometric_G_prints_the_table(self, capsys, argv, out):
+        assert run_cli(capsys, "rho-forest", "--G", "1/(1-t)", *argv) == (0, out, "")
 
     def test_vanishing_denominator_exits_3(self, capsys):
         code, out, err = run_cli(
@@ -379,8 +395,18 @@ class TestVerifyCommand:
             capsys, "verify", "--phi", "binary", "--rho", "x+1/n", "--param", "x=-3/7",
             "--max-n", "12",
         )
-        assert (code, err) == (0, "")
-        assert out.count("equal=true") == 12
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 12)
+        assert all(line.endswith(" equal=true") for line in lines)
+
+    def test_rational_table_at_the_largest_n(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--phi", "yang:1/2,3", "--max-n", "12",
+            "--rho", "1,1/2,2/3,3/4,4/5,5/6,6/7,7/8,8/9,9/10,10/11,11/12",
+        )
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 12)
+        assert all(line.endswith(" equal=true") for line in lines)
 
     def test_n_in_rho_is_the_hook_length(self, capsys):
         # --param n binds the n of --phi only
@@ -415,13 +441,15 @@ class TestVerifyCommand:
 
 
 class TestLabellingsCommand:
-    def test_four_vertex_tree(self, capsys):
-        code, out, _ = run_cli(capsys, "labellings", "--tree", "((())())")
-        assert code == 0
-        assert "hook-formula 3" in out
-        assert "recursive 3" in out
-        assert "bruteforce 3" in out
-        assert "agree true" in out
+    @pytest.mark.parametrize("word, out", [
+        ("((())())", "tree ((())())\nn 4\nhooks 4 2 1 1\nhook-formula 3\nrecursive 3\n"
+                     "bruteforce 3\nagree true\n"),
+        # the largest size the brute force runs at
+        ("(((()())(()))())", "tree (((()())(()))())\nn 8\nhooks 8 6 3 1 1 2 1 1\n"
+                             "hook-formula 140\nrecursive 140\nbruteforce 140\nagree true\n"),
+    ], ids=["4-vertices", "8-vertices"])
+    def test_small_tree_prints_every_count(self, capsys, word, out):
+        assert run_cli(capsys, "labellings", "--tree", word) == (0, out, "")
 
     def test_single_node(self, capsys):
         code, out, _ = run_cli(
@@ -440,11 +468,11 @@ class TestLabellingsCommand:
         assert "offset" in err
 
     def test_large_tree_skips_bruteforce(self, capsys):
-        word = "(" + "()" * 9 + ")"  # 10 vertices
-        code, out, _ = run_cli(capsys, "labellings", "--tree", word)
-        assert code == 0
-        assert "bruteforce skipped" in out
-        assert "agree true" in out
+        for leaves in (8, 9):  # 9 and 10 vertices, past BRUTE_FORCE_LIMIT
+            code, out, _ = run_cli(capsys, "labellings", "--tree", "(" + "()" * leaves + ")")
+            assert code == 0
+            assert "\nbruteforce skipped\n" in out
+            assert "agree true" in out
 
     @pytest.mark.parametrize("output", ["plain", "csv", "json"])
     @pytest.mark.parametrize("counter, field", [
@@ -509,6 +537,15 @@ class TestContract:
         assert info.value.code == 0
         assert "hooktrees" in capsys.readouterr().out
 
+    def test_console_script_is_run(self):
+        # only run() exits 141 on a closed pipe and 4 on a failed write
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        scripts = dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]*)"', section[1], re.M))
+        assert list(scripts) == ["hooktrees"]
+        module, _, name = scripts["hooktrees"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
     def test_internal_error_exits_4_with_one_line(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("no such state")
@@ -527,6 +564,12 @@ class TestContract:
         monkeypatch.setitem(cli._HANDLERS, "verify", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["verify", "--phi", "plane", "--rho", "1", "--max-n", "3"])
+
+    def test_usage_error_exits_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["series", "--model", "sg", "--phi", "binary", "--order", "x"])
+        assert (info.value.code, *capsys.readouterr()) == (
+            2, "", "error: --order needs an integer, got 'x'\n")
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -763,6 +806,8 @@ class TestExpressionErrorsNameTheFlag:
             (["series", "--model", "sg", "--order", "3", "--phi", "1+t"],
              "1+t: degenerate family: phi_k = 0 for all k in 2..3 "
              "(use --allow-degenerate to run anyway)"),
+            pytest.param(["series", "--model", "sg", "--order", "3", "--phi", "1+t+a\u00e9*t^2"],
+                         "--phi: non-ASCII character '\u00e9' at offset 5", id="non-ascii-name"),
         ],
     )
     def test_one_line_names_the_flag(self, capsys, argv, line):
@@ -869,12 +914,15 @@ class TestColdStart:
         "hookcalc.series_from_rho = perturbed\n"
     )
 
-    # One command of each exit path: SystemExit inside main (--version, a
-    # usage error), exit 0, 1, 2 and 3, and large outputs that must still
-    # be flushed when the process ends, to a pipe and to a regular file.
-    # Each row is (argv, status, where stdout goes, code run before main).
+    # One command of each exit path: SystemExit inside main (--version,
+    # --help, a usage error), exit 0, 1, 2 and 3, and large outputs that
+    # must still be flushed when the process ends, to a pipe and to a
+    # regular file.  Each row is (argv, status, where stdout goes, code run
+    # before main).
     ENTRY_COMMANDS = [
         pytest.param(["--version"], 0, "pipe", "", id="version"),
+        pytest.param(["--help"], 0, "pipe", "", id="help"),
+        pytest.param(["verify", "--help"], 0, "pipe", "", id="command-help"),
         pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "x"], 2,
                      "pipe", "", id="usage-error"),
         pytest.param(["series", "--model", "sg", "--phi", "binary", "--order", "3"], 0,
@@ -887,6 +935,8 @@ class TestColdStart:
                      "pipe", "", id="rho-undefined"),
         pytest.param(["rho-forest", "--phi", "labelled", "--G", "1/(1-t)", "--order", "300"],
                      0, "pipe", "", id="rho-forest-300"),
+        pytest.param(["series", "--model", "sg", "--phi", "labelled", "--order", "300"], 0,
+                     "pipe", "", id="series-300"),
         pytest.param(["series", "--model", "sg", "--phi", "labelled", "--order", "300"], 0,
                      "file", "", id="series-300-to-file"),
     ]

@@ -469,6 +469,22 @@ class TestHookSideReuse:
                 assert len(index.hooks[tuple((h, 1) for h in range(1, n + 1))].high) == len(
                     index.high)
 
+    def test_each_size_keeps_at_most_KEPT_sides(self, monkeypatch):
+        # past the cap the oldest side goes, and is rebuilt when asked again
+        monkeypatch.setattr(tally, "_indexed", {})
+        n = 9
+        pairs = [(DegreeTable([Q(1)] + [Q(c, k + 1) for k in range(1, n)]),
+                  HookWeightFunction([Q(c, h) for h in range(1, n + 1)]))
+                 for c in range(1, tally._KEPT + 6)]
+        first = weighted_sum(n, *pairs[0])
+        for fam, rho in pairs[1:]:
+            weighted_sum(n, fam, rho)
+        index = tally._indexed[n]
+        assert len(index.hooks) == len(index.phis) == tally._KEPT
+        assert tuple((1, h) for h in range(1, n + 1)) not in index.hooks
+        assert weighted_sum(n, *pairs[0]) == first == per_signature_sum(n, *pairs[0])
+        assert len(index.hooks) == len(index.phis) == tally._KEPT
+
     def test_a_larger_size_keeps_the_smaller_indexes(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
         rho = HookWeightFunction.from_spec("1/n", 10)
