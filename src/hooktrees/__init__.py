@@ -6,23 +6,9 @@ function from a target series (tree and forest forms), solves the
 fixed-point and differential equations of simply generated and increasing
 tree families, and certifies every identity by exhaustive enumeration at
 small sizes.
+
+The root holds only ``__version__``: import every other name from its
+module, so that the oracle and the series half each load without the other.
 """
 
-from .errors import HookTreesError
-from .families import DegreeWeightFamily
-from .hookcalc import HookWeightFunction
-from .rational import Rational
-from .series import TruncatedSeries
-from .treeoracle import OrderedTree
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DegreeWeightFamily",
-    "HookTreesError",
-    "HookWeightFunction",
-    "OrderedTree",
-    "Rational",
-    "TruncatedSeries",
-    "__version__",
-]

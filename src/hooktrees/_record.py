@@ -2,7 +2,7 @@
 
 A :class:`Record` subclass names its fields in ``__slots__``; the fields
 of a class are its parents' followed by its own, in that order.  The
-constructor takes every field, positionally or by keyword, and
+constructor takes every field by position, in that order, and
 ``_uncompared`` names the fields that equality and hashing skip.
 Equality and the hash go by class and the compared fields, assignment
 raises ``AttributeError``, and the ``repr`` shows every field.  Slots
@@ -31,28 +31,14 @@ class Record:
         # each slot's own setter, which the __setattr__ below does not block
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
+        if len(args) != len(setters):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(setters)} arguments, got {len(args)}"
+            )
         for setter, value in zip(setters, args):
             setter(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positional and keyword arguments."""
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields or key in values:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
-            values[key] = value
-        missing = [key for key in fields if key not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments {missing}")
-        return [values[key] for key in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

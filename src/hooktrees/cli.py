@@ -312,12 +312,12 @@ def _load_family(args) -> tuple[families.DegreeWeightFamily, object]:
     else:
         family = _read_flag("--phi", families.from_expression, args.phi, binding)
         read = gfparse.parameters(family.expression)
-    report = family.validate(size)
-    for warning in report.warnings:
+    violations, warnings = family.validate(size)
+    for warning in warnings:
         _say(f"warning: {family.name}: {warning}")
-    if not report.ok and not args.allow_degenerate:
+    if violations and not args.allow_degenerate:
         raise HookTreesError(
-            f"{family.name}: {'; '.join(report.violations)} "
+            f"{family.name}: {'; '.join(violations)} "
             "(use --allow-degenerate to run anyway)"
         )
     series_text = getattr(args, "expr", None)

@@ -23,14 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import gfparse
-from ._record import Record
 from .errors import HookTreesError
 from .rational import rational_from_string, rational_to_string
 from .series import TruncatedSeries
 
 __all__ = [
     "DegreeWeightFamily",
-    "ValidationReport",
     "from_expression",
     "from_spec",
     "BUILTIN_NAMES",
@@ -79,16 +77,16 @@ class DegreeWeightFamily:
             raise ValueError("out-degree must be non-negative")
         return self._phi.at_z(k)[k]
 
-    def validate(self, kmax: int) -> "ValidationReport":
-        """Check the standing assumptions on ``phi_0 .. phi_kmax``."""
+    def validate(self, kmax: int) -> tuple[list[str], list[str]]:
+        """Check the standing assumptions on ``phi_0 .. phi_kmax``: returns
+        the violations and the warnings, each a list of messages."""
         kmax = max(kmax, 2)
         coeffs = self.phi_series(kmax).coefficients
         violations = []
         warnings = []
         if coeffs[0] <= 0:
             violations.append(f"phi_0 = {rational_to_string(coeffs[0])} is not positive")
-        degenerate = all(coeffs[k] == 0 for k in range(2, kmax + 1))
-        if degenerate:
+        if all(coeffs[k] == 0 for k in range(2, kmax + 1)):
             violations.append(
                 f"degenerate family: phi_k = 0 for all k in 2..{kmax}"
             )
@@ -100,20 +98,7 @@ class DegreeWeightFamily:
                 f"negative weights at {len(negatives)} of degrees 0..{kmax}: "
                 f"{shown}{more} (identities remain formal)"
             )
-        return ValidationReport(
-            ok=not violations,
-            degenerate=degenerate,
-            violations=violations,
-            warnings=warnings,
-        )
-
-
-class ValidationReport(Record):
-    """What :meth:`DegreeWeightFamily.validate` found: ``ok`` unless a
-    standing assumption fails; ``violations`` and ``warnings`` are
-    lists of messages."""
-
-    __slots__ = ("ok", "degenerate", "violations", "warnings")
+        return violations, warnings
 
 
 # --- builtins -----------------------------------------------------------------

@@ -112,8 +112,8 @@ class GfExpr(Record):
     _fields = ("span",)
     _uncompared = ("span",)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args)
         depth = 0
         for f in self._fields:
             v = getattr(self, f)

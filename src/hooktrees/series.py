@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import HookTreesError
-from .rational import as_rational, rational_from_string, rational_to_string
+from .rational import as_rational, rational_to_string
 
 Scalar = int | Fraction
 
@@ -183,15 +183,11 @@ class TruncatedSeries:
             out[m] = -residue / f1
         return TruncatedSeries(out)
 
-    # --- serialization -------------------------------------------------------------
+    # --- output ------------------------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Wire format: one ``"p"``/``"p/q"`` string per coefficient."""
+        """One ``"p"``/``"p/q"`` string per coefficient, as the CLI prints them."""
         return [rational_to_string(c) for c in self._coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "TruncatedSeries":
-        return cls([rational_from_string(s) for s in items])
 
 
 def _constant(value: Scalar, order: int) -> TruncatedSeries:

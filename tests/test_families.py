@@ -115,32 +115,31 @@ class TestFromExpression:
 
 class TestValidation:
     def test_binary_ok(self):
-        report = families.from_spec("binary").validate(8)
-        assert report.ok and not report.degenerate and not report.warnings
+        assert families.from_spec("binary").validate(8) == ([], [])
 
     def test_linear_phi_degenerate(self):
-        report = families.from_expression("1+t").validate(8)
-        assert not report.ok and report.degenerate
+        violations, warnings = families.from_expression("1+t").validate(8)
+        assert violations == ["degenerate family: phi_k = 0 for all k in 2..8"]
+        assert not warnings
 
     def test_zero_constant_violates(self):
-        report = families.from_expression("t+t^2").validate(8)
-        assert not report.ok
-        assert any("phi_0" in v for v in report.violations)
-        assert not report.degenerate
+        violations, warnings = families.from_expression("t+t^2").validate(8)
+        assert violations == ["phi_0 = 0 is not positive"]  # and not degenerate
+        assert not warnings
 
     def test_negative_weights_warn_only(self):
-        report = families.from_expression("1-t+2*t^2").validate(8)
-        assert report.ok
-        assert report.warnings == [
+        violations, warnings = families.from_expression("1-t+2*t^2").validate(8)
+        assert not violations
+        assert warnings == [
             "negative weights at 1 of degrees 0..8: 1 (identities remain formal)"
         ]
 
     def test_negative_weight_warning_counts_and_stays_short(self):
         fam = families.from_spec("yang:1/2,3/2")
-        report = fam.validate(300)
+        violations, warnings = fam.validate(300)
         negatives = [k for k, c in enumerate(fam.phi_series(300).coefficients) if c < 0]
-        assert report.ok and len(negatives) > 100
-        assert report.warnings == [
+        assert not violations and len(negatives) > 100
+        assert warnings == [
             f"negative weights at {len(negatives)} of degrees 0..300: "
             + ", ".join(str(k) for k in negatives[:5])
             + ", ... (identities remain formal)"

@@ -5,13 +5,18 @@ The oracle (``hooktrees.treeoracle``) checks the series half, so neither
 may lean on the other: every module of the oracle takes nothing from the
 package but its error classes, and the series half's modules import
 nothing from the oracle.  The imports are read from the source, so a
-lazy import inside a function counts too.  The string constants are read
-the same way: a flag name in the library would decide, away from the
-CLI, how an error names its flag.
+lazy import inside a function counts too, and they are also checked at
+run time: each half, imported in a fresh interpreter, loads none of the
+other half's modules, so the package root may import neither.  The string
+constants are read from the source too: a flag name in the library would
+decide, away from the CLI, how an error names its flag.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +85,35 @@ def test_resolution_of_relative_imports():
     assert "hooktrees.errors" in package_imports(PACKAGE / "treeoracle" / "tally.py")
     assert "hooktrees.gfparse" in package_imports(PACKAGE / "hookcalc.py")
     assert "hooktrees.treeoracle" in package_imports(PACKAGE / "cli.py")
+
+
+def loaded_by(module: str) -> set[str]:
+    """The package modules in ``sys.modules`` after a fresh interpreter
+    imports ``module``."""
+    code = (
+        f"import sys, {module}\n"
+        "print(*(n for n in sys.modules if n.split('.')[0] == 'hooktrees'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    return set(result.stdout.split())
+
+
+def test_the_oracle_loads_only_itself_and_the_errors():
+    assert loaded_by("hooktrees.treeoracle") == {
+        "hooktrees", "hooktrees.errors", "hooktrees.treeoracle",
+        "hooktrees.treeoracle.tally", "hooktrees.treeoracle.trees",
+    }
+
+
+@pytest.mark.parametrize("name", SERIES_HALF)
+def test_series_half_loads_nothing_of_the_oracle(name):
+    module = "hooktrees." + name.removesuffix(".py")
+    loaded = loaded_by(module)
+    assert module in loaded
+    assert not [n for n in loaded if in_oracle(n)]
 
 
 def flag_literals(path: Path) -> set[str]:
