@@ -25,12 +25,17 @@ count}}``.  A weighted sum reads an index of that tally which lists every
 distinct block once: each degree histogram (a row), and each hook
 histogram split at ``k = n // 3`` into a low block (hooks 1..k) and a
 high block (hooks k+1..n).  Far fewer blocks than signatures occur (at
-n = 13, 320 low and 267 high blocks against 9,288 signatures), so the
-weights are multiplied out once per block, field by field, and a
-signature costs two lookups and two multiplies, run in C by ``map`` and
-``sum``.  A field of weight 1 is skipped, and so is every lookup into a
-side whose blocks all weigh 1: rho = 1, the simply generated case, sums
-each row's counts alone.
+n = 13, 320 low and 267 high blocks against 9,288 signatures), and each
+block is cut once more in the middle into two half-blocks, fewer again
+(103 distinct halves at n = 13).  So the weights are multiplied out
+once per half, field by field, a block costs one multiply of two
+looked-up halves, and a signature two lookups and two multiplies, run
+in C by ``map`` and ``sum``.  The degree rows are weighed from their
+halves the same way.  A field of weight 1 has no power table and is
+skipped, and so is every lookup into a side whose blocks all weigh 1.
+Where every hook weighs 1 (rho = 1, the simply generated case) a row's
+hook sum is the total of its counts, kept in the index, and no
+signature is read.
 
 The hook side of a sum depends on the size and rho alone, and the hook
 length formulas are certified by summing one rho against one family
@@ -65,7 +70,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import comb, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from ..errors import HookTreesError
 
@@ -243,13 +248,23 @@ class _SizeIndex:
     :class:`_HookSide`, and ``phis`` maps phi's values at 0..n-1, as one
     flat tuple of numerators and denominators, to their degree side: the
     integer weight of each row and the denominator they are put over.
+
+    ``totals[r]`` is the sum of ``counts[r]``: the hook sum of row r
+    where every hook weighs 1.  ``low_halves`` and ``high_halves`` cut
+    each distinct block once more in the middle, as :func:`_halves` gives
+    them, so a hook side weighs only the distinct halves (at n = 13, 103
+    halves for 587 blocks) and each block is one product of two of their
+    weights; ``degree_halves`` cuts the rows the same way (86 halves for
+    77 rows at n = 13, but each half has half the fields).
     """
 
-    __slots__ = ("degrees", "counts", "split", "lo", "hi", "low", "high", "hooks", "phis")
+    __slots__ = ("degrees", "counts", "totals", "split", "lo", "hi", "low", "high",
+                 "low_halves", "high_halves", "degree_halves", "hooks", "phis")
 
     def __init__(self, n: int, groups: dict[int, dict[int, int]]) -> None:
         self.degrees = tuple(degrees.to_bytes(n, "little") for degrees in groups)
         self.counts = tuple(tuple(row.values()) for row in groups.values())
+        self.totals = tuple(map(sum, self.counts))
         # At n = 12, 13 and 16, summing without a split (k = 0) was 3 to 4
         # times slower.  In first sums, the splits n // 4, n // 3 and
         # 2n // 5 came within about a tenth of each other and n // 2 was up
@@ -264,6 +279,9 @@ class _SizeIndex:
         self.hi = tuple(_number(high_ids, map(shift, row)) for row in groups.values())
         self.low = tuple(block.to_bytes(k, "little") for block in low_ids)
         self.high = tuple(block.to_bytes(n - k, "little") for block in high_ids)
+        self.low_halves = _halves(self.low, k // 2)
+        self.high_halves = _halves(self.high, (n - k) // 2)
+        self.degree_halves = _halves(self.degrees, n // 2)
         self.hooks: dict[tuple[tuple[int, int], ...], _HookSide] = {}
         self.phis: dict[tuple[int, ...], _DegreeSide] = {}
 
@@ -272,10 +290,12 @@ class _HookSide:
     """The hook side of the weighted sums of one size at one rho table.
 
     Every weight of rho is put over ``denominator``; ``low`` and ``high``
-    hold the integer weight of each distinct block, or None where every
-    block of that side weighs 1, and ``sums[r]`` the hook sum of row r,
-    ``sum(count * low[a] * high[b])`` over its signatures with block ids
-    a and b, or None until a family weighs row r nonzero.
+    hold the integer weight of each distinct block, weighed from the
+    index's half-blocks, or None where every block of that side weighs
+    1, and ``sums[r]`` the hook sum of row r, ``sum(count * low[a] *
+    high[b])`` over its signatures with block ids a and b, or None until
+    a family weighs row r nonzero.  Where both sides are None (rho = 1)
+    a row's hook sum is its total in the index.
     """
 
     __slots__ = ("denominator", "low", "high", "sums")
@@ -283,18 +303,21 @@ class _HookSide:
     def __init__(self, index: _SizeIndex, ratios: tuple[tuple[int, int], ...]) -> None:
         tables, self.denominator = _power_tables(len(ratios), ratios, 1)
         k = index.split
-        self.low = _weigh(index.low, tables[:k])
-        self.high = _weigh(index.high, tables[k:])
+        self.low = _weigh_parts(index.low_halves, tables[:k])
+        self.high = _weigh_parts(index.high_halves, tables[k:])
         self.sums: list[int | None] = [None] * len(index.degrees)
 
     def fill(self, index: _SizeIndex, rows: Iterable[int]) -> None:
         """Sum the hooks of each row in ``rows`` that has no sum yet,
         reading the block ids of a side only where its blocks weigh
-        other than 1."""
-        sums, counts, low, high = self.sums, index.counts, self.low, self.high
+        other than 1, and no signature count where no block does."""
+        sums, low, high = self.sums, self.low, self.high
         for r in rows:
             if sums[r] is None:
-                terms: Iterable[int] = counts[r]
+                if low is None and high is None:
+                    sums[r] = index.totals[r]
+                    continue
+                terms: Iterable[int] = index.counts[r]
                 if low is not None:
                     terms = map(mul, terms, map(low.__getitem__, index.lo[r]))
                 if high is not None:
@@ -308,31 +331,65 @@ _DegreeSide = tuple[list[int], int]
 
 def _degree_side(index: _SizeIndex, ratios: list[tuple[int, int]]) -> _DegreeSide:
     """The degree side of the weighted sums of one size for the family
-    whose out-degree weights are ``ratios``."""
+    whose out-degree weights are ``ratios``, each row weighed from its
+    two halves."""
     tables, denominator = _power_tables(len(ratios), ratios, 0)
     # a row weighs 1 where every out-degree does (plane)
-    return _weigh(index.degrees, tables) or [1] * len(index.degrees), denominator
+    return _weigh_parts(index.degree_halves, tables) or [1] * len(index.degrees), denominator
 
 
-def _weigh(keys: tuple[bytes, ...], tables: list[list[int]]) -> list[int] | None:
+# Power tables, one per field; None for a field of weight 1.
+_Tables = list[list[int] | None]
+
+
+def _weigh(keys: tuple[bytes, ...], tables: _Tables) -> list[int] | None:
     """The weight of each histogram in ``keys``, the product over its
     fields f of ``tables[f][key[f]]``, or None if every field weighs 1.
 
     Each field is weighed by one ``map`` over its column of the keys, and
-    a field whose table is all 1 (a weight of 1: the hook lengths where
-    rho is 1, the out-degrees of plane) is skipped.
+    a field of weight 1, which has no table (the hook lengths where rho
+    is 1, the out-degrees of plane), is skipped.
     """
     columns = [map(table.__getitem__, column) for table, column in zip(tables, zip(*keys))
-               if table.count(1) < len(table)]
+               if table is not None]
     return list(map(prod, zip(*columns))) if columns else None
+
+
+# The halves of some keys cut after ``cut`` bytes: (cut, the distinct first
+# halves, the distinct second halves, and the ids of each key's two halves).
+_Halves = tuple[int, tuple[bytes, ...], tuple[bytes, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _halves(keys: tuple[bytes, ...], cut: int) -> _Halves:
+    """Cut each key after ``cut`` bytes and number the distinct halves of
+    each side, the slicing run in C by ``map``."""
+    head_ids: dict[bytes, int] = {}
+    tail_ids: dict[bytes, int] = {}
+    heads = _number(head_ids, map(itemgetter(slice(cut)), keys))
+    tails = _number(tail_ids, map(itemgetter(slice(cut, None)), keys))
+    return cut, tuple(head_ids), tuple(tail_ids), heads, tails
+
+
+def _weigh_parts(halves: _Halves, tables: _Tables) -> list[int] | None:
+    """What :func:`_weigh` gives for the keys that ``halves`` cut: each
+    distinct half is weighed once, and each key is the product of the
+    weights of its two halves, or of the one half that weighs other
+    than 1."""
+    cut, heads, tails, head_ids, tail_ids = halves
+    head, tail = _weigh(heads, tables[:cut]), _weigh(tails, tables[cut:])
+    if head is None:
+        return None if tail is None else list(map(tail.__getitem__, tail_ids))
+    if tail is None:
+        return list(map(head.__getitem__, head_ids))
+    return list(map(mul, map(head.__getitem__, head_ids), map(tail.__getitem__, tail_ids)))
 
 
 def _power_tables(
     n: int, ratios: Iterable[tuple[int, int]], first: int
-) -> tuple[list[list[int]], int]:
+) -> tuple[_Tables, int]:
     """The integer power tables of the weights ``p/q`` of fields
     ``first, first + 1, ...`` of a size-n signature, and their common
-    denominator.
+    denominator; a field of weight 1 (p == q) has no table.
 
     Field f is out-degree f (first = 0) or hook length f (first = 1).  A
     size-n tree has at most n // d vertices of out-degree d >= 1 (the
@@ -344,13 +401,16 @@ def _power_tables(
     tables = []
     denominator = 1
     for f, (p, q) in enumerate(ratios, first):
+        if p == q:  # lowest terms: p = q = 1, and q**top is 1
+            tables.append(None)
+            continue
         top = n // max(f, 1)
         tables.append([p**c * q ** (top - c) for c in range(top + 1)])
         denominator *= q**top
     return tables, denominator
 
 
-def _number(ids: dict[int, int], values: Iterable[int]) -> tuple[int, ...]:
+def _number(ids: dict, values: Iterable) -> tuple[int, ...]:
     """The id of each value, numbering values new to ``ids`` 0, 1, 2, ...
     in order of first appearance.
 
@@ -386,8 +446,10 @@ def weighted_sum(
     """Sum of ``w_deg(T) * w_hook(T)`` over every ordered tree of size n.
 
     Trees are grouped by signature (see :func:`signature_counts`), and
-    each distinct degree histogram, low hook block and high hook block is
-    weighed once, field by field, skipping every field of weight 1.
+    each distinct half of a degree histogram or of a low or high hook
+    block is weighed once, field by field, skipping every field of weight
+    1; a histogram's or block's weight is the product of its two halves',
+    and at rho = 1 a degree row's hook sum is the total of its counts.
     Every weight is put over one common denominator, the terms are summed
     as Python ints, and one Fraction is built at the end.  The first call
     for a size tallies every size up to it and indexes each size not
@@ -400,7 +462,8 @@ def weighted_sum(
     degree row, filled the first time some family weighs the row
     nonzero, from that row's signatures alone; that is O(rows + blocks)
     integers per distinct table per size (at n = 13, 77 rows and 587
-    blocks), and nothing is kept per hook histogram or per signature.
+    blocks, weighed from 103 halves), and nothing is kept per hook
+    histogram or per signature.
     The degree side depends on n and the family alone, and is kept the
     same way, keyed by phi's values at 0..n-1: O(rows) integers per
     distinct family per size.  A later call at the same n, rho and

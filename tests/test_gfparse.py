@@ -10,6 +10,7 @@ from hooktrees import families
 from hooktrees.errors import ExpressionError, ParseError, UndefinedConstant
 from hooktrees.gfparse import (
     MAX_DEPTH,
+    MAX_POWER_BITS,
     Add,
     Div,
     Exp,
@@ -21,6 +22,7 @@ from hooktrees.gfparse import (
     RationalLiteral,
     Sub,
     Variable,
+    const_eval,
     evaluate,
     parse,
 )
@@ -492,6 +494,15 @@ class TestResourceBounds:
             evaluate(parse("1+t+2^(10^9)*t^2"), {}, 3)
         with pytest.raises(ExpressionError, match="power too large"):
             evaluate(parse("(2+t)^(10^9)"), {}, 3)
+
+    def test_constant_power_of_exactly_MAX_POWER_BITS(self):
+        # the bound is inclusive: 2 has one bit past its leading one
+        assert const_eval(parse(f"2^{MAX_POWER_BITS}"), {}) == 2**MAX_POWER_BITS
+        with pytest.raises(ExpressionError, match="power too large"):
+            const_eval(parse(f"2^{MAX_POWER_BITS + 1}"), {})
+
+    def test_zero_to_the_zero_is_one(self):
+        assert const_eval(parse("0^0"), {}) == 1
 
     def test_series_exponent_too_large(self):
         with pytest.raises(ExpressionError, match="exponent of a series too large"):

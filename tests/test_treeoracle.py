@@ -357,6 +357,34 @@ class TestWeightedSum:
                 assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (
                     fam.name, n)
 
+    def test_matches_per_signature_reference_at_the_largest_sizes(self):
+        rng = Random(1516)
+        cases = [
+            (families.from_spec("binary"), HookWeightFunction(random_weights(rng, 16))),
+            (families.from_spec("plane"), HookWeightFunction(random_weights(rng, 16))),
+            (DegreeTable(random_weights(rng, 16)), HookWeightFunction(random_weights(rng, 16))),
+        ]
+        for n in (16, 15):
+            for fam, rho in cases:
+                assert weighted_sum(n, fam, rho) == per_signature_sum(n, fam, rho), (
+                    fam.name, n)
+
+    def test_half_blocks_weigh_as_the_whole_keys(self):
+        # random byte keys, repeats included, cut at every place, against
+        # tables that leave some fields, or all of them, at weight 1
+        rng = Random(103)
+        for length in range(9):
+            keys = tuple(bytes(rng.randrange(4) for _ in range(length))
+                         for _ in range(rng.randint(1, 60)))
+            tables = [[None] * length]
+            tables += [[None if rng.random() < 0.4 else [rng.randint(-9, 9) for _ in range(4)]
+                        for _ in range(length)] for _ in range(4)]
+            for table in tables:
+                whole = tally._weigh(keys, table)
+                for cut in range(length + 1):
+                    assert tally._weigh_parts(tally._halves(keys, cut), table) == whole, (
+                        keys, table, cut)
+
     def test_sizes_one_and_two_have_an_empty_low_block(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
         fam = DegreeTable((Q(3, 5), Q(-7, 2)))
@@ -566,6 +594,25 @@ class TestHookSideReuse:
                 hooks = tally._indexed[n].hooks[tuple(v.as_integer_ratio() for v in values)]
                 assert (hooks.low is None) == (values[:k] == [one] * k), (label, n)
                 assert (hooks.high is None) == (values[k:] == [one] * (n - k)), (label, n)
+
+    def test_rho_one_reads_no_signature_counts(self, monkeypatch):
+        monkeypatch.setattr(tally, "_indexed", {})
+        plane, labelled = families.from_spec("plane"), families.from_spec("labelled")
+        weighted_sum(13, plane, HookWeightFunction.from_spec("n", 13))  # index every size
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("a signature count was read")
+
+            def __getitem__(self, r):
+                raise AssertionError(f"the signature counts of row {r} were read")
+
+        for n in range(13, 0, -1):
+            monkeypatch.setattr(tally._indexed[n], "counts", Unread())
+            one = HookWeightFunction.from_spec("1", n)
+            for fam in (plane, labelled):
+                assert weighted_sum(n, fam, one) == per_signature_sum(n, fam, one), (
+                    fam.name, n)
 
     def test_a_miss_reads_no_block_ids_of_rows_weighed_zero(self, monkeypatch):
         monkeypatch.setattr(tally, "_indexed", {})
