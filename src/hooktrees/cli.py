@@ -20,16 +20,16 @@ deeper than ``treeoracle.MAX_TREE_DEPTH``.  Rationals always print as
 ``p`` or ``p/q``, never as decimals, and integers print exactly at any
 length; identical invocations produce byte-identical output.
 
-The flags of every command are one table, ``_COMMANDS``.  A value follows
+Every command is one row of one table, ``_COMMANDS``.  A value follows
 its flag (``--order 3``) or is joined to it (``--order=3``), and a long
 flag may be cut to a unique prefix (``--ord 3``).  ``hooktrees --help``
 lists the commands and ``hooktrees COMMAND --help`` the flags of one.  A
 usage error (an unknown command or flag, an ambiguous prefix, a missing
 value or required flag, a bad choice, a non-integer ``--order`` or
-``--max-n``) writes one ``error:`` line and exits 2.  ``json`` and ``csv``
-are imported only by the output format that prints with them, which keeps
-start-up short, and :func:`run` ends the process without the interpreter's
-teardown, which keeps the end short.
+``--max-n``) writes one ``error:`` line and exits 2.  ``json`` is imported
+only by the output format that prints with it, which keeps start-up short,
+and :func:`run` ends the process without the interpreter's teardown, which
+keeps the end short.
 """
 
 from __future__ import annotations
@@ -58,50 +58,6 @@ MAX_VERIFY_N = 12
 MAX_ORDER = 300
 
 
-# The command-line grammar: command -> (help, flags), each flag a row
-# (flag, dest, kind, default, choices, help).  kind is str or int for a
-# flag that takes one value, list for a repeatable one and bool for a bare
-# switch; a default of _REQUIRED makes the flag required.  Every command
-# also takes -h/--help.
-_REQUIRED = object()
-_PHI_FLAGS = (
-    ("--phi", "phi", str, _REQUIRED, None,
-     "degree-weight family: builtin spec (binary, kary:3, plane, "
-     "labelled, yang:1/2,4, polyalpha:2) or an expression in t"),
-    ("--param", "param", list, [], None,
-     "bind an expression parameter to an exact rational (repeatable)"),
-    ("--allow-degenerate", "allow_degenerate", bool, False, None,
-     "run even if the family fails the standing assumptions"),
-)
-_OUTPUT_FLAG = (
-    ("--output", "output", str, "plain", ("plain", "json", "csv"),
-     "output format (default plain)"),
-)
-_ORDER_FLAG = (("--order", "order", int, _REQUIRED, None, f"at most {MAX_ORDER}"),)
-_COMMANDS = {
-    "series": ("solve T = z*phi(T) or T' = phi(T)", (
-        ("--model", "model", str, _REQUIRED, ("sg", "inc"),
-         "sg: simply generated (fixed point); inc: increasing (ODE)"),
-        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
-    "rho": ("hook weight table from a tree counting series", (
-        ("--from-model", "from_model", str, None, ("sg", "inc"),
-         "take F from the sg or inc solution for phi"),
-        ("--F", "expr", str, None, None, "take F from an expression in t"),
-        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
-    "rho-forest": ("hook weight table from a forest series G = phi(F)", (
-        ("--G", "expr", str, _REQUIRED, None,
-         "the forest series, an expression in t with G(0) = phi_0"),
-        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG)),
-    "verify": ("certify the identity by exhaustive enumeration", (
-        ("--rho", "rho", str, _REQUIRED, None,
-         "comma-separated rho(1),rho(2),... or an expression in the hook length n"),
-        ("--max-n", "max_n", int, _REQUIRED, None,
-         f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})"),
-        *_PHI_FLAGS, *_OUTPUT_FLAG)),
-    "labellings": ("count increasing labellings of one tree", (
-        ("--tree", "tree", str, _REQUIRED, None, "balanced-parenthesis word, e.g. ((())())"),
-        *_OUTPUT_FLAG)),
-}
 _HELP_FLAGS = ("-h", "--help")
 _TOP_FLAGS = (*_HELP_FLAGS, "--version")
 # a token that starts with "-" is still a value when it reads as a
@@ -144,10 +100,10 @@ def _help(command: str | None) -> str:
             "usage: hooktrees [--version] COMMAND [FLAG ...]", "",
             "Exact hook-length weight calculus for weighted ordered trees.", "",
             "commands:",
-            *(f"  {name:{width}}  {text}" for name, (text, _) in _COMMANDS.items()),
+            *(f"  {name:{width}}  {text}" for name, (text, *_) in _COMMANDS.items()),
             "", "Run 'hooktrees COMMAND --help' for the flags of a command.",
         ])
-    text, rows = _COMMANDS[command]
+    text, rows, _ = _COMMANDS[command]
     usage, lines = [], []
     for flag, dest, kind, default, choices, about in rows:
         if kind is bool:
@@ -361,18 +317,13 @@ def _json_object(payload: dict) -> str:
 
 
 def _emit_table(args, payload: dict | list, csv_rows: list, plain: list[str]) -> None:
-    """A list ``payload`` prints as one JSON object per line."""
+    """A list ``payload`` prints as one JSON object per line.  No CSV cell
+    needs quoting: none holds a comma, a quote or a line break."""
     if args.output == "json":
         for item in payload if isinstance(payload, list) else [payload]:
             print(_json_object(item))
     elif args.output == "csv":
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write("".join(",".join(row) + "\n" for row in csv_rows))
     else:
         for line in plain:
             print(line)
@@ -473,12 +424,49 @@ def _cmd_labellings(args) -> int:
     return EXIT_OK if agree else EXIT_FALSIFIED
 
 
-_HANDLERS = {
-    "series": _cmd_series,
-    "rho": _cmd_rho,
-    "rho-forest": _cmd_rho,
-    "verify": _cmd_verify,
-    "labellings": _cmd_labellings,
+# The command-line grammar: command -> (help, flags, handler), each flag a row
+# (flag, dest, kind, default, choices, help).  kind is str or int for a
+# flag that takes one value, list for a repeatable one and bool for a bare
+# switch; a default of _REQUIRED makes the flag required.  Every command
+# also takes -h/--help.
+_REQUIRED = object()
+_PHI_FLAGS = (
+    ("--phi", "phi", str, _REQUIRED, None,
+     "degree-weight family: builtin spec (binary, kary:3, plane, "
+     "labelled, yang:1/2,4, polyalpha:2) or an expression in t"),
+    ("--param", "param", list, [], None,
+     "bind an expression parameter to an exact rational (repeatable)"),
+    ("--allow-degenerate", "allow_degenerate", bool, False, None,
+     "run even if the family fails the standing assumptions"),
+)
+_OUTPUT_FLAG = (
+    ("--output", "output", str, "plain", ("plain", "json", "csv"),
+     "output format (default plain)"),
+)
+_ORDER_FLAG = (("--order", "order", int, _REQUIRED, None, f"at most {MAX_ORDER}"),)
+_COMMANDS = {
+    "series": ("solve T = z*phi(T) or T' = phi(T)", (
+        ("--model", "model", str, _REQUIRED, ("sg", "inc"),
+         "sg: simply generated (fixed point); inc: increasing (ODE)"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG), _cmd_series),
+    "rho": ("hook weight table from a tree counting series", (
+        ("--from-model", "from_model", str, None, ("sg", "inc"),
+         "take F from the sg or inc solution for phi"),
+        ("--F", "expr", str, None, None, "take F from an expression in t"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG), _cmd_rho),
+    "rho-forest": ("hook weight table from a forest series G = phi(F)", (
+        ("--G", "expr", str, _REQUIRED, None,
+         "the forest series, an expression in t with G(0) = phi_0"),
+        *_ORDER_FLAG, *_PHI_FLAGS, *_OUTPUT_FLAG), _cmd_rho),
+    "verify": ("certify the identity by exhaustive enumeration", (
+        ("--rho", "rho", str, _REQUIRED, None,
+         "comma-separated rho(1),rho(2),... or an expression in the hook length n"),
+        ("--max-n", "max_n", int, _REQUIRED, None,
+         f"check all tree sizes 1..max-n (at most {MAX_VERIFY_N})"),
+        *_PHI_FLAGS, *_OUTPUT_FLAG), _cmd_verify),
+    "labellings": ("count increasing labellings of one tree", (
+        ("--tree", "tree", str, _REQUIRED, None, "balanced-parenthesis word, e.g. ((())())"),
+        *_OUTPUT_FLAG), _cmd_labellings),
 }
 
 
@@ -494,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     its reader closed it) for :func:`run` to report."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ValueError as err:
         _say(f"error: {err}")
         return EXIT_UNDEFINED if isinstance(err, DenominatorVanishes) else EXIT_INPUT

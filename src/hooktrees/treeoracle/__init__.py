@@ -12,31 +12,8 @@ lives in the tests (``tests/literal_oracle.py``) and holds the tally to
 the definition there.
 """
 
-from .tally import TALLY_LIMIT, backend_name, signature_counts, weighted_sum
-from .trees import (
-    BRUTE_FORCE_LIMIT,
-    MAX_TREE_DEPTH,
-    OrderedTree,
-    format_tree,
-    hook_lengths,
-    labellings_bruteforce,
-    labellings_hook,
-    labellings_recursive,
-    parse_tree,
-)
+from . import tally, trees
+from .tally import *
+from .trees import *
 
-__all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "MAX_TREE_DEPTH",
-    "TALLY_LIMIT",
-    "OrderedTree",
-    "backend_name",
-    "format_tree",
-    "hook_lengths",
-    "labellings_bruteforce",
-    "labellings_hook",
-    "labellings_recursive",
-    "parse_tree",
-    "signature_counts",
-    "weighted_sum",
-]
+__all__ = [*tally.__all__, *trees.__all__]

@@ -252,10 +252,9 @@ class _SizeIndex:
     ``totals[r]`` is the sum of ``counts[r]``: the hook sum of row r
     where every hook weighs 1.  ``low_halves`` and ``high_halves`` cut
     each distinct block once more in the middle, as :func:`_halves` gives
-    them, so a hook side weighs only the distinct halves (at n = 13, 103
-    halves for 587 blocks) and each block is one product of two of their
-    weights; ``degree_halves`` cuts the rows the same way (86 halves for
-    77 rows at n = 13, but each half has half the fields).
+    them, so a hook side weighs only the distinct halves and each block is
+    one product of two of their weights; ``degree_halves`` cuts the rows
+    the same way.
     """
 
     __slots__ = ("degrees", "counts", "totals", "split", "lo", "hi", "low", "high",
@@ -461,8 +460,7 @@ def weighted_sum(
     denominator, the weight of each distinct block and one hook sum per
     degree row, filled the first time some family weighs the row
     nonzero, from that row's signatures alone; that is O(rows + blocks)
-    integers per distinct table per size (at n = 13, 77 rows and 587
-    blocks, weighed from 103 halves), and nothing is kept per hook
+    integers per distinct table per size, and nothing is kept per hook
     histogram or per signature.
     The degree side depends on n and the family alone, and is kept the
     same way, keyed by phi's values at 0..n-1: O(rows) integers per

@@ -4,8 +4,10 @@
 with a timed wrapper before a traced run starts; a name the package no
 longer has makes every ``--trace 1`` run fail.  Its ``sweep`` mode builds
 families with ``families.from_spec`` and ``families.from_expression`` and
-rho tables with ``HookWeightFunction.from_spec``.  The module is loaded
-from its path, as the benchmark runs it, and left unchanged.
+rho tables with ``HookWeightFunction.from_spec``, and its ``tally`` mode
+calls ``treeoracle.signature_counts``.  ``run.py`` probes
+``treeoracle.backend_name``.  The module is loaded from its path, as the
+benchmark runs it, and left unchanged.
 """
 
 import importlib
@@ -48,3 +50,18 @@ def test_sweep_builds_a_builtin_and_its_expression_alike(tmp_path, capsys):
     assert len(lines) == 3
     builtin, expression = (line.split()[2] for line in lines[:2])
     assert builtin == expression
+
+
+def test_the_oracle_names_that_perfbench_reads_outside_layers():
+    # run.py probes backend_name for its provenance line, and child.py's
+    # tally mode times signature_counts
+    from hooktrees import treeoracle
+    from hooktrees.treeoracle import tally, trees
+
+    assert callable(treeoracle.backend_name)
+    assert callable(treeoracle.signature_counts)
+    # the package re-exports exactly its modules' own lists, no name twice
+    assert sorted(treeoracle.__all__) == sorted({*tally.__all__, *trees.__all__})
+    for module in (tally, trees):
+        for name in module.__all__:
+            assert getattr(treeoracle, name) is getattr(module, name), name

@@ -153,9 +153,9 @@ def test_help_lists_every_flag_of_the_command(command):
 def test_reference_help_strings_are_the_table():
     sub = build_parser()._subparsers._group_actions[0]
     assert {a.dest: a.help for a in sub._choices_actions} == {
-        name: text for name, (text, _) in cli._COMMANDS.items()
+        name: text for name, (text, _, _) in cli._COMMANDS.items()
     }
-    for command, (_, rows) in cli._COMMANDS.items():
+    for command, (_, rows, _) in cli._COMMANDS.items():
         actions = sub.choices[command]._actions
         assert {a.option_strings[0]: a.help for a in actions if "-h" not in a.option_strings} == {
             row[0]: row[5] for row in rows
